@@ -41,6 +41,7 @@ def run_bench() -> dict:
     from splunk_otel_collector_ray.pipelines.aggregate import grouped_count
     from splunk_otel_collector_ray.pipelines.logs import (
         build_logs_dataset,
+        reservation_off,
         run_flagship,
     )
 
@@ -89,18 +90,11 @@ def run_bench() -> dict:
     # Same reservation scoping as run_flagship: the chain is map-only up to
     # a tiny-partial repartition(1), so per-operator reservation only idles
     # CPUs here (measured 2.4 s vs 1.0 s at sf0.1/32).
-    from ray.data import DataContext as _DC
-
-    _ctx = _DC.get_current()
-    _prev_reserve = _ctx.op_resource_reservation_enabled
-    _ctx.op_resource_reservation_enabled = False
-    try:
+    with reservation_off():
         t0 = time.time()
         ds = build_logs_dataset(SF_DIR)
         grouped_count(ds, ["sink"]).to_pandas()
         queries["route_aggregate"] = round(time.time() - t0, 3)
-    finally:
-        _ctx.op_resource_reservation_enabled = _prev_reserve
 
     # parse only (the grok-core in isolation)
     import ray.data

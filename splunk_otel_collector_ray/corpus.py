@@ -57,7 +57,9 @@ Skew knob: ~1% of conv_ids own ~30% of turns (FIXTURES.md §1).
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
+from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
@@ -455,6 +457,41 @@ def _version_ok(path: str) -> bool:
         return False
 
 
+def _cached_fixture(path: str, render: Callable[[str], None],
+                    force: bool = False) -> str:
+    """Build the fixture dir ``path`` once per CORPUS_VERSION; return it.
+
+    A dir whose ``.version`` matches is a cache hit and ``render`` is not
+    called (unless ``force``). Otherwise the stale dir is removed and
+    ``render(out)`` fills a fresh sibling temp dir, which is stamped with
+    ``.version`` and renamed into place: readers never see a partial
+    fixture, a ``render`` that raises leaves no temp dir behind, and when
+    a concurrent builder wins the rename race its (identical) dir stays.
+    Every ``ensure_*`` fixture goes through here — a hand-rolled copy
+    that skips the version check serves stale data after a generator
+    change."""
+    if not force and _version_ok(path):
+        return path
+    shutil.rmtree(path, ignore_errors=True)
+    parent = os.path.dirname(path)
+    os.makedirs(parent, exist_ok=True)
+    tmpdir = tempfile.mkdtemp(dir=parent,
+                              prefix=f".{os.path.basename(path)}.tmp")
+    try:
+        render(tmpdir)
+        with open(os.path.join(tmpdir, ".version"), "w") as f:
+            f.write(CORPUS_VERSION)
+        try:
+            os.replace(tmpdir, path)
+        except OSError:
+            if not _version_ok(path):  # not a lost race: a real failure
+                raise
+            # lost the race to a concurrent writer: theirs is identical
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)  # no-op once renamed
+    return path
+
+
 def ensure_transcripts(sf_dir_or_name: str, force: bool = False) -> str:
     """Write the transcript corpus for this scale if absent; return its dir.
 
@@ -464,56 +501,43 @@ def ensure_transcripts(sf_dir_or_name: str, force: bool = False) -> str:
     renamed into place, so concurrent callers are safe. Row groups are 50k
     rows so Ray's read layer can split within files too.
     """
-    path = transcripts_path(sf_dir_or_name)
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    conv_seq, turn_idx, role = _layout_and_roles(sf_name(sf_dir_or_name))
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".transcripts.tmp")
-    n = len(conv_seq)
-    n_files = max(1, round(n / ROWS_PER_FILE))
-    # split points aligned to conversation boundaries
-    bounds = [0]
-    for k in range(1, n_files):
-        i = k * n // n_files
-        while i < n and conv_seq[i] == conv_seq[i - 1]:
-            i += 1
-        if i > bounds[-1] and i < n:
-            bounds.append(i)
-    bounds.append(n)
-    # Render in conversation-aligned SUPER-CHUNKS of ~RENDER_CHUNK rows,
-    # writing each file's slice as we go: the rendered text column is
-    # ~10× the numeric layout's footprint, so a monolithic render
-    # OOM-kills past ~150M turns while the layout arrays alone scale to
-    # billions — chunked and monolithic outputs are bit-identical
-    # (pinned by test_corpus_chunked_render_identical).
-    k = 0
-    while k < len(bounds) - 1:
-        j = k + 1
-        while (j < len(bounds) - 1
-               and bounds[j + 1] - bounds[k] <= RENDER_CHUNK):
-            j += 1
-        chunk = _render_transcripts(conv_seq, turn_idx, role,
-                                    bounds[k], bounds[j])
-        for f in range(k, j):
-            pq.write_table(
-                chunk.slice(bounds[f] - bounds[k],
-                            bounds[f + 1] - bounds[f]),
-                os.path.join(tmpdir, f"part-{f:03d}.parquet"),
-                row_group_size=50_000,
-            )
-        k = j
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:  # lost the race to a concurrent writer — theirs is fine
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+    def render(out: str) -> None:
+        conv_seq, turn_idx, role = _layout_and_roles(sf_name(sf_dir_or_name))
+        n = len(conv_seq)
+        n_files = max(1, round(n / ROWS_PER_FILE))
+        # split points aligned to conversation boundaries
+        bounds = [0]
+        for k in range(1, n_files):
+            i = k * n // n_files
+            while i < n and conv_seq[i] == conv_seq[i - 1]:
+                i += 1
+            if i > bounds[-1] and i < n:
+                bounds.append(i)
+        bounds.append(n)
+        # Render in conversation-aligned SUPER-CHUNKS of ~RENDER_CHUNK rows,
+        # writing each file's slice as we go: the rendered text column is
+        # ~10× the numeric layout's footprint, so a monolithic render
+        # OOM-kills past ~150M turns while the layout arrays alone scale to
+        # billions — chunked and monolithic outputs are bit-identical
+        # (pinned by test_corpus_chunked_render_identical).
+        k = 0
+        while k < len(bounds) - 1:
+            j = k + 1
+            while (j < len(bounds) - 1
+                   and bounds[j + 1] - bounds[k] <= RENDER_CHUNK):
+                j += 1
+            chunk = _render_transcripts(conv_seq, turn_idx, role,
+                                        bounds[k], bounds[j])
+            for f in range(k, j):
+                pq.write_table(
+                    chunk.slice(bounds[f] - bounds[k],
+                                bounds[f + 1] - bounds[f]),
+                    os.path.join(out, f"part-{f:03d}.parquet"),
+                    row_group_size=50_000,
+                )
+            k = j
+
+    return _cached_fixture(transcripts_path(sf_dir_or_name), render, force)
 
 
 def ensure_filelog(sf_dir_or_name: str, force: bool = False) -> str:
@@ -528,27 +552,16 @@ def ensure_filelog(sf_dir_or_name: str, force: bool = False) -> str:
     """
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "filelog")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    s = pq.read_table(tdir, columns=["text"]).column("text").to_pandas()
-    keep = s.notna() & (s != "") & ~s.str.contains("[\n\r]", regex=True)
-    lines = s[keep]
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".filelog.tmp")
-    with open(os.path.join(tmpdir, "app.log"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:  # lost the race to a concurrent writer — theirs is fine
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        s = pq.read_table(tdir, columns=["text"]).column("text").to_pandas()
+        keep = s.notna() & (s != "") & ~s.str.contains("[\n\r]", regex=True)
+        lines = s[keep]
+        with open(os.path.join(out, "app.log"), "w", encoding="utf-8") as f:
+            f.write("\n".join(lines))
+            f.write("\n")
+
+    return _cached_fixture(path, render, force)
 
 
 FLUENT_TAG = "transcripts.forward"
@@ -563,40 +576,31 @@ def ensure_fluent_msgpack(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "fluent")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    ).to_pandas()
-    us = df["ts"].astype("int64").to_numpy()
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".fl.tmp")
-    per_file, per_msg = 25_000, 5_000
-    for fi in range(0, len(df), per_file):
-        with open(os.path.join(tmpdir, f"chunk-{fi // per_file:03d}.msgpack"),
-                  "wb") as f:
-            for mi in range(fi, min(fi + per_file, len(df)), per_msg):
-                sl = df.iloc[mi:mi + per_msg]
-                entries = [
-                    (EventTime(int(u) // 1_000_000,
-                               (int(u) % 1_000_000) * 1_000),
-                     {"message": text, "conv_id": conv,
-                      "turn_idx": int(turn), "role": role, "tool": tool})
-                    for u, conv, turn, role, text, tool in zip(
-                        us[mi:mi + per_msg], sl["conv_id"], sl["turn_idx"],
-                        sl["role"], sl["text"], sl["tool"])
-                ]
-                f.write(pack_forward_message(FLUENT_TAG, entries))
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:  # lost the race to a concurrent writer — theirs is fine
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+        ).to_pandas()
+        us = df["ts"].astype("int64").to_numpy()
+        per_file, per_msg = 25_000, 5_000
+        for fi in range(0, len(df), per_file):
+            with open(os.path.join(out, f"chunk-{fi // per_file:03d}.msgpack"),
+                      "wb") as f:
+                for mi in range(fi, min(fi + per_file, len(df)), per_msg):
+                    sl = df.iloc[mi:mi + per_msg]
+                    entries = [
+                        (EventTime(int(u) // 1_000_000,
+                                   (int(u) % 1_000_000) * 1_000),
+                         {"message": text, "conv_id": conv,
+                          "turn_idx": int(turn), "role": role, "tool": tool})
+                        for u, conv, turn, role, text, tool in zip(
+                            us[mi:mi + per_msg], sl["conv_id"],
+                            sl["turn_idx"], sl["role"], sl["text"],
+                            sl["tool"])
+                    ]
+                    f.write(pack_forward_message(FLUENT_TAG, entries))
+
+    return _cached_fixture(path, render, force)
 
 
 JOURNALD_UNITS = ("sshd.service", "crond.service", "systemd-journald.service")
@@ -614,35 +618,25 @@ def ensure_journald_jsonl(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "journald")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "text", "ts"]).to_pandas()
-    us = df["ts"].astype("int64")
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".jd.tmp")
-    with open(os.path.join(tmpdir, "journal.jsonl"), "w",
-              encoding="utf-8") as f:
-        for t, conv, turn, text in zip(us, df["conv_id"], df["turn_idx"],
-                                       df["text"]):
-            f.write(json.dumps({
-                "__REALTIME_TIMESTAMP": str(t),
-                "MESSAGE": text,
-                "_HOSTNAME": conv,
-                "PRIORITY": str(int(turn) % 8),
-                "_SYSTEMD_UNIT": JOURNALD_UNITS[int(turn) % 3],
-            }, ensure_ascii=False))
-            f.write("\n")
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:  # lost the race to a concurrent writer — theirs is fine
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "text", "ts"]).to_pandas()
+        us = df["ts"].astype("int64")
+        with open(os.path.join(out, "journal.jsonl"), "w",
+                  encoding="utf-8") as f:
+            for t, conv, turn, text in zip(us, df["conv_id"],
+                                           df["turn_idx"], df["text"]):
+                f.write(json.dumps({
+                    "__REALTIME_TIMESTAMP": str(t),
+                    "MESSAGE": text,
+                    "_HOSTNAME": conv,
+                    "PRIORITY": str(int(turn) % 8),
+                    "_SYSTEMD_UNIT": JOURNALD_UNITS[int(turn) % 3],
+                }, ensure_ascii=False))
+                f.write("\n")
+
+    return _cached_fixture(path, render, force)
 
 
 def collectd_records() -> list[dict]:
@@ -691,28 +685,15 @@ def ensure_collectd_jsonl(force: bool = False) -> str:
     per line — the write_http array unpacked, as the receiver sees it)."""
     import json
 
-    path = os.path.join(FIXTURE_ROOT, "collectd")
-    os.makedirs(FIXTURE_ROOT, exist_ok=True)
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".collectd.tmp")
-    with open(os.path.join(tmpdir, "records.jsonl"), "w",
-              encoding="utf-8") as f:
-        for rec in collectd_records():
-            f.write(json.dumps(rec, ensure_ascii=False))
-            f.write("\n")
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:  # lost the race to a concurrent writer — theirs is fine
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+    def render(out: str) -> None:
+        with open(os.path.join(out, "records.jsonl"), "w",
+                  encoding="utf-8") as f:
+            for rec in collectd_records():
+                f.write(json.dumps(rec, ensure_ascii=False))
+                f.write("\n")
+
+    return _cached_fixture(os.path.join(FIXTURE_ROOT, "collectd"), render,
+                           force)
 
 
 def ensure_hec_jsonl(sf_dir_or_name: str, force: bool = False) -> str:
@@ -728,36 +709,28 @@ def ensure_hec_jsonl(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "hec")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    ).to_pandas()
-    time_s = df["ts"].astype("int64") / 1e6  # exact double of epoch µs / 1e6
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".hec.tmp")
-    with open(os.path.join(tmpdir, "events.jsonl"), "w",
-              encoding="utf-8") as f:
-        for t, conv, turn, role, text, tool in zip(
-                time_s, df["conv_id"], df["turn_idx"], df["role"],
-                df["text"], df["tool"]):
-            f.write(json.dumps({
-                "time": t, "host": conv, "source": role,
-                "sourcetype": "httpevent", "index": "main", "event": text,
-                "fields": {"conv_id": conv, "turn_idx": int(turn),
-                           "tool": tool},
-            }, ensure_ascii=False))
-            f.write("\n")
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:  # lost the race to a concurrent writer — theirs is fine
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+        ).to_pandas()
+        # exact double of epoch µs / 1e6
+        time_s = df["ts"].astype("int64") / 1e6
+        with open(os.path.join(out, "events.jsonl"), "w",
+                  encoding="utf-8") as f:
+            for t, conv, turn, role, text, tool in zip(
+                    time_s, df["conv_id"], df["turn_idx"], df["role"],
+                    df["text"], df["tool"]):
+                f.write(json.dumps({
+                    "time": t, "host": conv, "source": role,
+                    "sourcetype": "httpevent", "index": "main",
+                    "event": text,
+                    "fields": {"conv_id": conv, "turn_idx": int(turn),
+                               "tool": tool},
+                }, ensure_ascii=False))
+                f.write("\n")
+
+    return _cached_fixture(path, render, force)
 
 
 KAFKA_PARTITIONS = 4
@@ -778,44 +751,33 @@ def ensure_kafka_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "kafka")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    ).to_pandas()
-    conv_num = df["conv_id"].str.slice(5).astype("int64")
-    part = (conv_num % KAFKA_PARTITIONS).to_numpy()
-    offset = pd.DataFrame({"p": part}).groupby("p").cumcount().to_numpy()
-    ts_ms = (df["ts"].astype("int64") // 1000).to_numpy()
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".kafka.tmp")
-    files = {p: open(os.path.join(tmpdir, f"transcripts-{p}.jsonl"), "w",
-                     encoding="utf-8") for p in range(KAFKA_PARTITIONS)}
-    try:
-        for p, off, ms, conv, turn, role, text, tool in zip(
-                part, offset, ts_ms, df["conv_id"], df["turn_idx"],
-                df["role"], df["text"], df["tool"]):
-            files[int(p)].write(json.dumps({
-                "topic": "transcripts", "partition": int(p),
-                "offset": int(off), "ts": int(ms), "key": conv,
-                "payload": text,
-                "headers": {"turn_idx": int(turn), "role": role,
-                            "tool": tool},
-            }, ensure_ascii=False) + "\n")
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+        ).to_pandas()
+        conv_num = df["conv_id"].str.slice(5).astype("int64")
+        part = (conv_num % KAFKA_PARTITIONS).to_numpy()
+        offset = pd.DataFrame({"p": part}).groupby("p").cumcount().to_numpy()
+        ts_ms = (df["ts"].astype("int64") // 1000).to_numpy()
+        files = {p: open(os.path.join(out, f"transcripts-{p}.jsonl"), "w",
+                         encoding="utf-8") for p in range(KAFKA_PARTITIONS)}
+        try:
+            for p, off, ms, conv, turn, role, text, tool in zip(
+                    part, offset, ts_ms, df["conv_id"], df["turn_idx"],
+                    df["role"], df["text"], df["tool"]):
+                files[int(p)].write(json.dumps({
+                    "topic": "transcripts", "partition": int(p),
+                    "offset": int(off), "ts": int(ms), "key": conv,
+                    "payload": text,
+                    "headers": {"turn_idx": int(turn), "role": role,
+                                "tool": tool},
+                }, ensure_ascii=False) + "\n")
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_eventhub_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -836,47 +798,36 @@ def ensure_eventhub_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "eventhub")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    ).to_pandas().sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    conv_num = df["conv_id"].str.slice(5).astype("int64")
-    df["_part"] = (conv_num % EVENTHUB_PARTITIONS).to_numpy()
-    df["_us"] = df["ts"].astype("int64")
-    levels = ("Informational", "Warning", "Error", "Verbose")
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".eventhub.tmp")
-    files = {p: open(os.path.join(tmpdir, f"partition-{p}.jsonl"), "w",
-                     encoding="utf-8") for p in range(EVENTHUB_PARTITIONS)}
-    seq = {p: 0 for p in range(EVENTHUB_PARTITIONS)}
-    try:
-        for conv, rows in df.groupby("conv_id", sort=True):
-            p = int(rows["_part"].iloc[0])
-            recs = [make_azure_record(
-                int(us), conv, role, tool, levels[int(turn) % 4],
-                int(turn), text)
-                for us, role, tool, turn, text in zip(
-                    rows["_us"], rows["role"], rows["tool"],
-                    rows["turn_idx"], rows["text"])]
-            files[p].write(json.dumps(encode_eventhub_event(
-                p, seq[p], conv, int(rows["_us"].min()), recs),
-                ensure_ascii=False) + "\n")
-            seq[p] += 1
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+        ).to_pandas().sort_values(["conv_id", "turn_idx"], kind="mergesort")
+        conv_num = df["conv_id"].str.slice(5).astype("int64")
+        df["_part"] = (conv_num % EVENTHUB_PARTITIONS).to_numpy()
+        df["_us"] = df["ts"].astype("int64")
+        levels = ("Informational", "Warning", "Error", "Verbose")
+        files = {p: open(os.path.join(out, f"partition-{p}.jsonl"), "w",
+                         encoding="utf-8") for p in range(EVENTHUB_PARTITIONS)}
+        seq = {p: 0 for p in range(EVENTHUB_PARTITIONS)}
+        try:
+            for conv, rows in df.groupby("conv_id", sort=True):
+                p = int(rows["_part"].iloc[0])
+                recs = [make_azure_record(
+                    int(us), conv, role, tool, levels[int(turn) % 4],
+                    int(turn), text)
+                    for us, role, tool, turn, text in zip(
+                        rows["_us"], rows["role"], rows["tool"],
+                        rows["turn_idx"], rows["text"])]
+                files[p].write(json.dumps(encode_eventhub_event(
+                    p, seq[p], conv, int(rows["_us"].min()), recs),
+                    ensure_ascii=False) + "\n")
+                seq[p] += 1
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_pulsar_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -896,46 +847,35 @@ def ensure_pulsar_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "pulsar")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    ).to_pandas().sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    conv_num = df["conv_id"].str.slice(5).astype("int64")
-    df["_part"] = (conv_num % PULSAR_PARTITIONS).to_numpy()
-    df["_us"] = df["ts"].astype("int64")
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".pulsar.tmp")
-    files = {p: open(os.path.join(tmpdir, f"partition-{p}.jsonl"), "w",
-                     encoding="utf-8") for p in range(PULSAR_PARTITIONS)}
-    rank = {p: 0 for p in range(PULSAR_PARTITIONS)}
-    try:
-        for conv, rows in df.groupby("conv_id", sort=True):
-            p = int(rows["_part"].iloc[0])
-            msgs = [make_pulsar_message(
-                int(turn), int(us), text, {"role": role, "tool": tool})
-                for us, role, tool, turn, text in zip(
-                    rows["_us"], rows["role"], rows["tool"],
-                    rows["turn_idx"], rows["text"])]
-            files[p].write(json.dumps(encode_pulsar_entry(
-                p, rank[p] // LEDGER_ENTRIES, rank[p] % LEDGER_ENTRIES,
-                conv, int(rows["_us"].min()), msgs),
-                ensure_ascii=False) + "\n")
-            rank[p] += 1
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+        ).to_pandas().sort_values(["conv_id", "turn_idx"], kind="mergesort")
+        conv_num = df["conv_id"].str.slice(5).astype("int64")
+        df["_part"] = (conv_num % PULSAR_PARTITIONS).to_numpy()
+        df["_us"] = df["ts"].astype("int64")
+        files = {p: open(os.path.join(out, f"partition-{p}.jsonl"), "w",
+                         encoding="utf-8") for p in range(PULSAR_PARTITIONS)}
+        rank = {p: 0 for p in range(PULSAR_PARTITIONS)}
+        try:
+            for conv, rows in df.groupby("conv_id", sort=True):
+                p = int(rows["_part"].iloc[0])
+                msgs = [make_pulsar_message(
+                    int(turn), int(us), text, {"role": role, "tool": tool})
+                    for us, role, tool, turn, text in zip(
+                        rows["_us"], rows["role"], rows["tool"],
+                        rows["turn_idx"], rows["text"])]
+                files[p].write(json.dumps(encode_pulsar_entry(
+                    p, rank[p] // LEDGER_ENTRIES, rank[p] % LEDGER_ENTRIES,
+                    conv, int(rows["_us"].min()), msgs),
+                    ensure_ascii=False) + "\n")
+                rank[p] += 1
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_pubsub_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -948,46 +888,36 @@ def ensure_pubsub_dump(sf_dir_or_name: str, force: bool = False) -> str:
     ``numeric(conv_id) % 4`` (file-layout parallelism only — Pub/Sub has
     no partitions; an ordering key's messages stay in one shard, the
     ordered-delivery guarantee)."""
+    import json
+
     from .sources.pubsub import PUBSUB_SHARDS, encode_pubsub_record
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "pubsub")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    import json
 
-    df = pq.read_table(
-        tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-    ).to_pandas()
-    conv_num = df["conv_id"].str.slice(5).astype("int64")
-    shard = (conv_num % PUBSUB_SHARDS).to_numpy()
-    ts_us = df["ts"].astype("int64").to_numpy()
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".pubsub.tmp")
-    files = {s: open(os.path.join(tmpdir, f"subscription-{s}.jsonl"), "w",
-                     encoding="utf-8") for s in range(PUBSUB_SHARDS)}
-    try:
-        for s, us, conv, turn, role, text, tool in zip(
-                shard, ts_us, df["conv_id"], df["turn_idx"], df["role"],
-                df["text"], df["tool"]):
-            files[int(s)].write(json.dumps(encode_pubsub_record(
-                f"{conv}/{int(turn)}", conv, int(us), text,
-                {"turn_idx": str(int(turn)), "role": role, "tool": tool}),
-                ensure_ascii=False) + "\n")
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+    def render(out: str) -> None:
+        df = pq.read_table(
+            tdir, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+        ).to_pandas()
+        conv_num = df["conv_id"].str.slice(5).astype("int64")
+        shard = (conv_num % PUBSUB_SHARDS).to_numpy()
+        ts_us = df["ts"].astype("int64").to_numpy()
+        files = {s: open(os.path.join(out, f"subscription-{s}.jsonl"), "w",
+                         encoding="utf-8") for s in range(PUBSUB_SHARDS)}
+        try:
+            for s, us, conv, turn, role, text, tool in zip(
+                    shard, ts_us, df["conv_id"], df["turn_idx"], df["role"],
+                    df["text"], df["tool"]):
+                files[int(s)].write(json.dumps(encode_pubsub_record(
+                    f"{conv}/{int(turn)}", conv, int(us), text,
+                    {"turn_idx": str(int(turn)), "role": role,
+                     "tool": tool}),
+                    ensure_ascii=False) + "\n")
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_solace_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1022,67 +952,56 @@ def ensure_solace_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "solace")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
     protos = [("smf", "3.0"), ("mqtt", "5.0"), ("amqp", "1.0")]
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".solace.tmp")
-    files = {s: open(os.path.join(tmpdir, f"telemetry-{s}.jsonl"), "w",
-                     encoding="utf-8") for s in range(SOLACE_SHARDS)}
-    try:
-        # One transcript PART FILE at a time (~100k turns): the text
-        # column is ~10x the numeric footprint, and only its LENGTH is
-        # needed — the monolithic read_table(...).to_pandas() here was
-        # the same unbounded shape the chunked transcript render
-        # removed. Sorted filename order == global row order, so the
-        # shard-file bytes are identical to the monolithic build.
-        for part in sorted(os.listdir(tdir)):
-            if not part.endswith(".parquet"):
-                continue
-            df = pq.read_table(
-                os.path.join(tdir, part),
-                columns=["conv_id", "turn_idx", "role", "text", "ts"]
-            ).to_pandas()
-            n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
-            turn = df["turn_idx"].astype("int64").to_numpy()
-            p = n % SOLACE_SHARDS
-            ts_us = df["ts"].astype("int64").to_numpy()
-            ln = df["text"].str.len().astype("int64").to_numpy()
-            d = (31 * n + 7 * turn) % 1000 + 1
-            for i, (conv, role) in enumerate(zip(df["conv_id"],
-                                                 df["role"])):
-                ni, ti, pi, li, di, us = (
-                    int(n[i]), int(turn[i]), int(p[i]),
-                    int(ln[i]), int(d[i]), int(ts_us[i]))
-                trace = f"{ni:032x}"
-                rsp = f"{ni * 65536 + ti * 2:016x}"
-                rgmid = f"rmid1:{pi:05x}-{ni:012x}-{ti:05x}-00000"
-                proto, ver = protos[ti % 3]
-                queue = f"q/{pi}"
-                f = files[pi]
-                f.write(_json.dumps(encode_receive_span(
-                    trace, rsp, us * 1000, (us + li) * 1000,
-                    f"chat/{conv}", rgmid, proto, ver, role, queue),
-                    ensure_ascii=False) + "\n")
-                f.write(_json.dumps(encode_egress_span(
-                    trace, f"{ni * 65536 + ti * 2 + 1:016x}", rsp,
-                    (us + li + di) * 1000, (us + 2 * li + di) * 1000,
-                    queue, rgmid, proto, ver, f"subscriber-{pi}"),
-                    ensure_ascii=False) + "\n")
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        files = {s: open(os.path.join(out, f"telemetry-{s}.jsonl"), "w",
+                         encoding="utf-8") for s in range(SOLACE_SHARDS)}
+        try:
+            # One transcript PART FILE at a time (~100k turns): the text
+            # column is ~10x the numeric footprint, and only its LENGTH is
+            # needed — the monolithic read_table(...).to_pandas() here was
+            # the same unbounded shape the chunked transcript render
+            # removed. Sorted filename order == global row order, so the
+            # shard-file bytes are identical to the monolithic build.
+            for part in sorted(os.listdir(tdir)):
+                if not part.endswith(".parquet"):
+                    continue
+                df = pq.read_table(
+                    os.path.join(tdir, part),
+                    columns=["conv_id", "turn_idx", "role", "text", "ts"]
+                ).to_pandas()
+                n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
+                turn = df["turn_idx"].astype("int64").to_numpy()
+                p = n % SOLACE_SHARDS
+                ts_us = df["ts"].astype("int64").to_numpy()
+                ln = df["text"].str.len().astype("int64").to_numpy()
+                d = (31 * n + 7 * turn) % 1000 + 1
+                for i, (conv, role) in enumerate(zip(df["conv_id"],
+                                                     df["role"])):
+                    ni, ti, pi, li, di, us = (
+                        int(n[i]), int(turn[i]), int(p[i]),
+                        int(ln[i]), int(d[i]), int(ts_us[i]))
+                    trace = f"{ni:032x}"
+                    rsp = f"{ni * 65536 + ti * 2:016x}"
+                    rgmid = f"rmid1:{pi:05x}-{ni:012x}-{ti:05x}-00000"
+                    proto, ver = protos[ti % 3]
+                    queue = f"q/{pi}"
+                    f = files[pi]
+                    f.write(_json.dumps(encode_receive_span(
+                        trace, rsp, us * 1000, (us + li) * 1000,
+                        f"chat/{conv}", rgmid, proto, ver, role, queue),
+                        ensure_ascii=False) + "\n")
+                    f.write(_json.dumps(encode_egress_span(
+                        trace, f"{ni * 65536 + ti * 2 + 1:016x}", rsp,
+                        (us + li + di) * 1000, (us + 2 * li + di) * 1000,
+                        queue, rgmid, proto, ver, f"subscriber-{pi}"),
+                        ensure_ascii=False) + "\n")
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_sfx_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1110,25 +1029,20 @@ def ensure_sfx_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "sfx")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".sfx.tmp")
-    bufs: dict[int, list] = {s: [] for s in range(SFX_SHARDS)}
-    seqs = {s: 0 for s in range(SFX_SHARDS)}
 
-    def flush(s: int) -> None:
-        if not bufs[s]:
-            return
-        with open(os.path.join(tmpdir,
-                               f"dp-{s}-{seqs[s]:05d}.pb.gz"), "wb") as f:
-            f.write(encode_upload(bufs[s]))
-        seqs[s] += 1
-        bufs[s] = []
+    def render(out: str) -> None:
+        bufs: dict[int, list] = {s: [] for s in range(SFX_SHARDS)}
+        seqs = {s: 0 for s in range(SFX_SHARDS)}
 
-    try:
+        def flush(s: int) -> None:
+            if not bufs[s]:
+                return
+            with open(os.path.join(out,
+                                   f"dp-{s}-{seqs[s]:05d}.pb.gz"), "wb") as f:
+                f.write(encode_upload(bufs[s]))
+            seqs[s] += 1
+            bufs[s] = []
+
         # chunked per part file, like the solace stager — only LENGTH of
         # text is needed beyond the scalar columns
         for part in sorted(os.listdir(tdir)):
@@ -1163,18 +1077,8 @@ def ensure_sfx_dump(sf_dir_or_name: str, force: bool = False) -> str:
                     flush(pi)
         for s in range(SFX_SHARDS):
             flush(s)
-    except BaseException:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_zipkin_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1199,28 +1103,22 @@ def ensure_zipkin_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "zipkin")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
     kinds = {"user": "CLIENT", "assistant": "SERVER", "tool": "PRODUCER",
              "system": "CONSUMER"}
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".zipkin.tmp")
-    bufs: dict[int, list] = {s: [] for s in range(ZIPKIN_SHARDS)}
-    seqs = {s: 0 for s in range(ZIPKIN_SHARDS)}
 
-    def flush(s: int) -> None:
-        if not bufs[s]:
-            return
-        with open(os.path.join(tmpdir, f"spans-{s}-{seqs[s]:05d}.json"),
-                  "w", encoding="utf-8") as f:
-            _json.dump(bufs[s], f, ensure_ascii=False)
-        seqs[s] += 1
-        bufs[s] = []
+    def render(out: str) -> None:
+        bufs: dict[int, list] = {s: [] for s in range(ZIPKIN_SHARDS)}
+        seqs = {s: 0 for s in range(ZIPKIN_SHARDS)}
 
-    try:
+        def flush(s: int) -> None:
+            if not bufs[s]:
+                return
+            with open(os.path.join(out, f"spans-{s}-{seqs[s]:05d}.json"),
+                      "w", encoding="utf-8") as f:
+                _json.dump(bufs[s], f, ensure_ascii=False)
+            seqs[s] += 1
+            bufs[s] = []
+
         for part in sorted(os.listdir(tdir)):
             if not part.endswith(".parquet"):
                 continue
@@ -1235,7 +1133,6 @@ def ensure_zipkin_dump(sf_dir_or_name: str, force: bool = False) -> str:
             ln = df["text"].str.len().astype("int64").to_numpy()
             for i, (conv, role, tool) in enumerate(
                     zip(df["conv_id"], df["role"], df["tool"])):
-
                 ni, ti, pi = int(n[i]), int(turn[i]), int(p[i])
                 sid = ni * 65536 + ti
                 buf = bufs[pi]
@@ -1249,18 +1146,8 @@ def ensure_zipkin_dump(sf_dir_or_name: str, force: bool = False) -> str:
                     flush(pi)
         for s in range(ZIPKIN_SHARDS):
             flush(s)
-    except BaseException:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_jaeger_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1278,31 +1165,25 @@ def ensure_jaeger_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "jaeger")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
     kinds = {"user": "client", "assistant": "server", "tool": "producer",
              "system": "consumer"}
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".jaeger.tmp")
-    bufs: dict[tuple, list] = {}
-    seqs: dict[tuple, int] = {}
 
-    def flush(key: tuple) -> None:
-        if not bufs.get(key):
-            return
-        p, svc = key
-        seq = seqs.get(key, 0)
-        with open(os.path.join(tmpdir,
-                               f"batch-{p}-{svc}-{seq:05d}.pb"),
-                  "wb") as f:
-            f.write(encode_batch(svc, bufs[key]))
-        seqs[key] = seq + 1
-        bufs[key] = []
+    def render(out: str) -> None:
+        bufs: dict[tuple, list] = {}
+        seqs: dict[tuple, int] = {}
 
-    try:
+        def flush(key: tuple) -> None:
+            if not bufs.get(key):
+                return
+            p, svc = key
+            seq = seqs.get(key, 0)
+            with open(os.path.join(out,
+                                   f"batch-{p}-{svc}-{seq:05d}.pb"),
+                      "wb") as f:
+                f.write(encode_batch(svc, bufs[key]))
+            seqs[key] = seq + 1
+            bufs[key] = []
+
         for part in sorted(os.listdir(tdir)):
             if not part.endswith(".parquet"):
                 continue
@@ -1333,18 +1214,8 @@ def ensure_jaeger_dump(sf_dir_or_name: str, force: bool = False) -> str:
                     flush(key)
         for key in list(bufs):
             flush(key)
-    except BaseException:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_k8sevents_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1370,70 +1241,53 @@ def ensure_k8sevents_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "k8sevents")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
     reasons = ["Created", "Started", "Pulled", "Killing"]
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".k8sevents.tmp")
-    files = {s: open(os.path.join(tmpdir, f"watch-{s}.jsonl"), "w",
-                     encoding="utf-8") for s in range(K8SEVENTS_SHARDS)}
-    try:
-        for part in sorted(os.listdir(tdir)):
-            if not part.endswith(".parquet"):
-                continue
-            df = pq.read_table(
-                os.path.join(tdir, part),
-                columns=["conv_id", "turn_idx", "role", "text",
-                         "ts"]).to_pandas()
-            n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
-            turn = df["turn_idx"].astype("int64").to_numpy()
-            p = n % K8SEVENTS_SHARDS
-            ts_us = df["ts"].astype("int64").to_numpy()
-            for i, (conv, role, text) in enumerate(
-                    zip(df["conv_id"], df["role"], df["text"])):
-                ni, ti = int(n[i]), int(turn[i])
-                rv = ni * 65536 + ti
-                ev = {
-                    "apiVersion": "v1", "kind": "Event",
-                    "metadata": {"name": f"{conv}.{ti}",
-                                 "namespace": role,
-                                 "uid": f"uid-{rv:012x}",
-                                 "resourceVersion": str(rv)},
-                    "involvedObject": {"kind": "Pod", "name": conv,
-                                       "namespace": role,
-                                       "uid": f"uid-{ni:08x}"},
-                    "reason": reasons[ti % 4],
-                    "message": text,
-                    "type": "Warning" if ti % 5 == 0 else "Normal",
-                    "count": ti + 1,
-                    "eventTime": iso_us(int(ts_us[i])),
-                    "source": {"component": "kubelet",
-                               "host": f"host-{ni % 8}"},
-                }
-                files[int(p[i])].write(
-                    encode_watch_line(
-                        "ADDED" if ti % 2 == 0 else "MODIFIED", ev)
-                    + "\n")
-    except BaseException:
-        for f in files.values():
-            f.close()
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        files = {s: open(os.path.join(out, f"watch-{s}.jsonl"), "w",
+                         encoding="utf-8") for s in range(K8SEVENTS_SHARDS)}
+        try:
+            for part in sorted(os.listdir(tdir)):
+                if not part.endswith(".parquet"):
+                    continue
+                df = pq.read_table(
+                    os.path.join(tdir, part),
+                    columns=["conv_id", "turn_idx", "role", "text",
+                             "ts"]).to_pandas()
+                n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
+                turn = df["turn_idx"].astype("int64").to_numpy()
+                p = n % K8SEVENTS_SHARDS
+                ts_us = df["ts"].astype("int64").to_numpy()
+                for i, (conv, role, text) in enumerate(
+                        zip(df["conv_id"], df["role"], df["text"])):
+                    ni, ti = int(n[i]), int(turn[i])
+                    rv = ni * 65536 + ti
+                    ev = {
+                        "apiVersion": "v1", "kind": "Event",
+                        "metadata": {"name": f"{conv}.{ti}",
+                                     "namespace": role,
+                                     "uid": f"uid-{rv:012x}",
+                                     "resourceVersion": str(rv)},
+                        "involvedObject": {"kind": "Pod", "name": conv,
+                                           "namespace": role,
+                                           "uid": f"uid-{ni:08x}"},
+                        "reason": reasons[ti % 4],
+                        "message": text,
+                        "type": "Warning" if ti % 5 == 0 else "Normal",
+                        "count": ti + 1,
+                        "eventTime": iso_us(int(ts_us[i])),
+                        "source": {"component": "kubelet",
+                                   "host": f"host-{ni % 8}"},
+                    }
+                    files[int(p[i])].write(
+                        encode_watch_line(
+                            "ADDED" if ti % 2 == 0 else "MODIFIED", ev)
+                        + "\n")
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_filestats_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1447,58 +1301,41 @@ def ensure_filestats_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "filestats")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    # accumulate per-conversation stats across part chunks (bounded by
-    # conversation count, not turn count)
-    size: dict[str, int] = {}
-    mtime: dict[str, int] = {}
-    atime: dict[str, int] = {}
-    for part in sorted(os.listdir(tdir)):
-        if not part.endswith(".parquet"):
-            continue
-        df = pq.read_table(
-            os.path.join(tdir, part),
-            columns=["conv_id", "text", "ts"]).to_pandas()
-        ln = df["text"].str.len().astype("int64")
-        ts_s = df["ts"].astype("int64") // 1_000_000
-        g = df.assign(ln=ln, ts_s=ts_s).groupby("conv_id")
-        agg = g.agg(sz=("ln", "sum"), mt=("ts_s", "max"),
-                    at=("ts_s", "min"))
-        for conv, row in agg.iterrows():
-            size[conv] = size.get(conv, 0) + int(row["sz"])
-            mtime[conv] = max(mtime.get(conv, 0), int(row["mt"]))
-            atime[conv] = min(atime.get(conv, 1 << 62), int(row["at"]))
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".filestats.tmp")
-    files = {s: open(os.path.join(tmpdir, f"stat-{s}.jsonl"), "w",
-                     encoding="utf-8") for s in range(FILESTATS_SHARDS)}
-    try:
-        for conv in sorted(size):
-            s = int(conv[5:]) % FILESTATS_SHARDS
-            files[s].write(encode_stat_line(
-                f"/var/log/chat/{conv}.log", size[conv], mtime[conv],
-                atime[conv]) + "\n")
-    except BaseException:
-        for f in files.values():
-            f.close()
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        # accumulate per-conversation stats across part chunks (bounded by
+        # conversation count, not turn count)
+        size: dict[str, int] = {}
+        mtime: dict[str, int] = {}
+        atime: dict[str, int] = {}
+        for part in sorted(os.listdir(tdir)):
+            if not part.endswith(".parquet"):
+                continue
+            df = pq.read_table(
+                os.path.join(tdir, part),
+                columns=["conv_id", "text", "ts"]).to_pandas()
+            ln = df["text"].str.len().astype("int64")
+            ts_s = df["ts"].astype("int64") // 1_000_000
+            g = df.assign(ln=ln, ts_s=ts_s).groupby("conv_id")
+            agg = g.agg(sz=("ln", "sum"), mt=("ts_s", "max"),
+                        at=("ts_s", "min"))
+            for conv, row in agg.iterrows():
+                size[conv] = size.get(conv, 0) + int(row["sz"])
+                mtime[conv] = max(mtime.get(conv, 0), int(row["mt"]))
+                atime[conv] = min(atime.get(conv, 1 << 62), int(row["at"]))
+        files = {s: open(os.path.join(out, f"stat-{s}.jsonl"), "w",
+                         encoding="utf-8") for s in range(FILESTATS_SHARDS)}
+        try:
+            for conv in sorted(size):
+                s = int(conv[5:]) % FILESTATS_SHARDS
+                files[s].write(encode_stat_line(
+                    f"/var/log/chat/{conv}.log", size[conv], mtime[conv],
+                    atime[conv]) + "\n")
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_cloudfoundry_dump(sf_dir_or_name: str,
@@ -1525,68 +1362,52 @@ def ensure_cloudfoundry_dump(sf_dir_or_name: str,
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name),
                         "cloudfoundry")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".cf.tmp")
-    files = {s: open(os.path.join(tmpdir, f"rlp-{s}.jsonl"), "w",
-                     encoding="utf-8") for s in range(CF_SHARDS)}
-    try:
-        for part in sorted(os.listdir(tdir)):
-            if not part.endswith(".parquet"):
-                continue
-            df = pq.read_table(
-                os.path.join(tdir, part),
-                columns=["conv_id", "turn_idx", "role", "text", "tool",
-                         "ts"]).to_pandas()
-            n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
-            turn = df["turn_idx"].astype("int64").to_numpy()
-            p = n % CF_SHARDS
-            ts_ns = df["ts"].astype("int64").to_numpy() * 1000
-            ln = df["text"].str.len().astype("int64")
-            total = ln.groupby(
-                [df["conv_id"], df["tool"]]).cumsum().to_numpy()
-            ln = ln.to_numpy()
-            for i, (conv, role, text, tool) in enumerate(
-                    zip(df["conv_id"], df["role"], df["text"],
-                        df["tool"])):
-                ni, ti = int(n[i]), int(turn[i])
-                kw = {}
-                if role in ("user", "assistant"):
-                    kw["log"] = {"payload": text,
-                                 "type": "OUT" if role == "user"
-                                 else "ERR"}
-                elif role == "tool":
-                    kw["counter"] = {"name": tool, "delta": int(ln[i]),
-                                     "total": int(total[i])}
-                else:
-                    kw["gauge"] = {"metrics": {
-                        "cpu": {"unit": "percentage", "value": ti},
-                        "memory": {"unit": "bytes", "value": int(ln[i])},
-                    }}
-                files[int(p[i])].write(encode_envelope(
-                    int(ts_ns[i]), conv, str(ni % 8),
-                    {"origin": "rep", "deployment": "cf"}, **kw) + "\n")
-    except BaseException:
-        for f in files.values():
-            f.close()
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    finally:
-        for f in files.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+
+    def render(out: str) -> None:
+        files = {s: open(os.path.join(out, f"rlp-{s}.jsonl"), "w",
+                         encoding="utf-8") for s in range(CF_SHARDS)}
+        try:
+            for part in sorted(os.listdir(tdir)):
+                if not part.endswith(".parquet"):
+                    continue
+                df = pq.read_table(
+                    os.path.join(tdir, part),
+                    columns=["conv_id", "turn_idx", "role", "text", "tool",
+                             "ts"]).to_pandas()
+                n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
+                turn = df["turn_idx"].astype("int64").to_numpy()
+                p = n % CF_SHARDS
+                ts_ns = df["ts"].astype("int64").to_numpy() * 1000
+                ln = df["text"].str.len().astype("int64")
+                total = ln.groupby(
+                    [df["conv_id"], df["tool"]]).cumsum().to_numpy()
+                ln = ln.to_numpy()
+                for i, (conv, role, text, tool) in enumerate(
+                        zip(df["conv_id"], df["role"], df["text"],
+                            df["tool"])):
+                    ni, ti = int(n[i]), int(turn[i])
+                    kw = {}
+                    if role in ("user", "assistant"):
+                        kw["log"] = {"payload": text,
+                                     "type": "OUT" if role == "user"
+                                     else "ERR"}
+                    elif role == "tool":
+                        kw["counter"] = {"name": tool, "delta": int(ln[i]),
+                                         "total": int(total[i])}
+                    else:
+                        kw["gauge"] = {"metrics": {
+                            "cpu": {"unit": "percentage", "value": ti},
+                            "memory": {"unit": "bytes",
+                                       "value": int(ln[i])},
+                        }}
+                    files[int(p[i])].write(encode_envelope(
+                        int(ts_ns[i]), conv, str(ni % 8),
+                        {"origin": "rep", "deployment": "cf"}, **kw) + "\n")
+        finally:
+            for f in files.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_cloudwatch_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1603,59 +1424,42 @@ def ensure_cloudwatch_dump(sf_dir_or_name: str, force: bool = False) -> str:
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name),
                         "cloudwatch")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path),
-                              prefix=".cw.tmp")
-    handles: dict[tuple, object] = {}
 
-    def handle(role: str, s: int):
-        key = (role, s)
-        if key not in handles:
-            slug = group_slug(f"/aws/chat/{role}")
-            handles[key] = open(
-                os.path.join(tmpdir, f"events-{slug}-{s}.jsonl"), "w",
-                encoding="utf-8")
-        return handles[key]
+    def render(out: str) -> None:
+        handles: dict[tuple, object] = {}
 
-    try:
-        for part in sorted(os.listdir(tdir)):
-            if not part.endswith(".parquet"):
-                continue
-            df = pq.read_table(
-                os.path.join(tdir, part),
-                columns=["conv_id", "turn_idx", "role", "text",
-                         "ts"]).to_pandas()
-            n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
-            turn = df["turn_idx"].astype("int64").to_numpy()
-            p = n % CLOUDWATCH_SHARDS
-            ts_ms = df["ts"].astype("int64").to_numpy() // 1000
-            for i, (conv, role, text) in enumerate(
-                    zip(df["conv_id"], df["role"], df["text"])):
-                ni, ti, ms = int(n[i]), int(turn[i]), int(ts_ms[i])
-                handle(role, int(p[i])).write(encode_event(
-                    ms, text, conv, str(ni * 65536 + ti), ms + 123)
-                    + "\n")
-    except BaseException:
-        for f in handles.values():
-            f.close()
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-        raise
-    finally:
-        for f in handles.values():
-            f.close()
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+        def handle(role: str, s: int):
+            key = (role, s)
+            if key not in handles:
+                slug = group_slug(f"/aws/chat/{role}")
+                handles[key] = open(
+                    os.path.join(out, f"events-{slug}-{s}.jsonl"), "w",
+                    encoding="utf-8")
+            return handles[key]
+
+        try:
+            for part in sorted(os.listdir(tdir)):
+                if not part.endswith(".parquet"):
+                    continue
+                df = pq.read_table(
+                    os.path.join(tdir, part),
+                    columns=["conv_id", "turn_idx", "role", "text",
+                             "ts"]).to_pandas()
+                n = df["conv_id"].str.slice(5).astype("int64").to_numpy()
+                turn = df["turn_idx"].astype("int64").to_numpy()
+                p = n % CLOUDWATCH_SHARDS
+                ts_ms = df["ts"].astype("int64").to_numpy() // 1000
+                for i, (conv, role, text) in enumerate(
+                        zip(df["conv_id"], df["role"], df["text"])):
+                    ni, ti, ms = int(n[i]), int(turn[i]), int(ts_ms[i])
+                    handle(role, int(p[i])).write(encode_event(
+                        ms, text, conv, str(ni * 65536 + ti), ms + 123)
+                        + "\n")
+        finally:
+            for f in handles.values():
+                f.close()
+
+    return _cached_fixture(path, render, force)
 
 
 def _capture_chunks(tdir: str):
@@ -1716,138 +1520,127 @@ def ensure_proc_dump(sf_dir_or_name: str, force: bool = False) -> str:
     assert pf.HM_BASE_US == BASE_EPOCH_US
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "proc")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
 
-    H, S, C = pf.HM_HOSTS, pf.HM_SCRAPES, pf.HM_CPUS
-    # preallocated delta grids, scatter-filled one transcript part file
-    # at a time (never the whole text column resident)
-    du, dsys, didle, rd, rs, wr, ws = (
-        np.zeros((H, S, C), dtype="int64") for _ in range(7))
-    (used, bufn, cache, rxb, rxp, txb, txp, lob, lop, created, running,
-     blocked, sw_cached, sw_used, pgpgin, pgpgout, pswpin, pswpout,
-     pgfault, pgmaj, fs_ub, fs_ob, fs_nt) = (
-        np.zeros((H, S), dtype="int64") for _ in range(23))
-    for conv, turn, ln, role in _capture_chunks(tdir):
-        h, s = _host_tick(conv, turn, H, S)
-        c = (conv // 4) % C  # independent of the host digit — conv%2
-        # would pin each host's parity to one cpu
-        hs = h * S + s
-        hsc = hs * C + c
-        is_user = role == "user"
-        is_asst = role == "assistant"
-        is_tool = role == "tool"
-        one = np.ones_like(ln)
-        # cpu jiffy deltas per (h, s, c)
-        _scatter(du, hsc, ln)
-        _scatter(dsys, hsc, turn % 29 + 1)
-        _scatter(didle, hsc, 100 * one)
-        # memory gauge components per (h, s)
-        _scatter(used, hs, ln)
-        _scatter(bufn, hs, one)
-        _scatter(cache, hs, turn % 97)
-        # network byte/packet deltas per (h, s), split by role
-        _scatter(rxb, hs[is_user], ln[is_user])
-        _scatter(rxp, hs[is_user], one[is_user])
-        _scatter(txb, hs[is_asst], ln[is_asst])
-        _scatter(txp, hs[is_asst], one[is_asst])
-        _scatter(lob, hs[is_tool], ln[is_tool])
-        _scatter(lop, hs[is_tool], one[is_tool])
-        # disk op/sector deltas per (h, s, c); device = sda/sdb
-        _scatter(rd, hsc[~is_asst], one[~is_asst])
-        _scatter(rs, hsc[~is_asst], ln[~is_asst] // 512)
-        _scatter(wr, hsc[is_asst], one[is_asst])
-        _scatter(ws, hsc[is_asst], ln[is_asst] // 512)
-        # process counters
-        _scatter(created, hs, one)
-        _scatter(running, hs[is_user], one[is_user])
-        _scatter(blocked, hs[is_tool], one[is_tool])
-        # paging swap gauges + vmstat page/swap/fault deltas (weights
-        # chosen distinct from every other scraper family)
-        _scatter(sw_cached, hs, turn % 53)
-        _scatter(sw_used, hs, ln % 63)
-        _scatter(pgpgin, hs[is_user], ln[is_user] % 127)
-        _scatter(pgpgout, hs[is_asst], ln[is_asst] % 131)
-        _scatter(pswpin, hs[is_tool], turn[is_tool] % 13)
-        _scatter(pswpout, hs[is_asst], turn[is_asst] % 11)
-        _scatter(pgfault, hs, ln % 251)
-        _scatter(pgmaj, hs, (ln % 7 == 0).astype("int64"))
-        # filesystem: root mount fills with user bytes, data mount rest
-        _scatter(fs_ub, hs[is_user], ln[is_user])
-        _scatter(fs_ob, hs[~is_user], ln[~is_user])
-        _scatter(fs_nt, hs[is_tool], one[is_tool])
-    # post-sweep: cumulative counters are prefix sums over ticks
-    ju, js, ji = (a.cumsum(axis=1) for a in (du, dsys, didle))
-    buf = 4 * bufn
-    free = np.maximum(pf.HM_TOTAL_KB - used - buf - cache, 0)
-    rxb, rxp, txb, txp, lob, lop = (
-        a.cumsum(axis=1) for a in (rxb, rxp, txb, txp, lob, lop))
-    rd, rs, wr, ws = (a.cumsum(axis=1) for a in (rd, rs, wr, ws))
-    created = created.cumsum(axis=1)
-    sw_free = np.maximum(pf.HM_SWAP_KB - sw_used - sw_cached, 0)
-    pgpgin, pgpgout, pswpin, pswpout, pgfault, pgmaj = (
-        a.cumsum(axis=1)
-        for a in (pgpgin, pgpgout, pswpin, pswpout, pgfault, pgmaj))
-    fs_u1 = 10240 + fs_ub.cumsum(axis=1) // 16
-    fs_u2 = 20480 + fs_ob.cumsum(axis=1) // 8
-    fs_i1 = 1000 + created // 4
-    fs_i2 = 2000 + fs_nt.cumsum(axis=1) // 2
+    def render(out: str) -> None:
+        H, S, C = pf.HM_HOSTS, pf.HM_SCRAPES, pf.HM_CPUS
+        # preallocated delta grids, scatter-filled one transcript part file
+        # at a time (never the whole text column resident)
+        du, dsys, didle, rd, rs, wr, ws = (
+            np.zeros((H, S, C), dtype="int64") for _ in range(7))
+        (used, bufn, cache, rxb, rxp, txb, txp, lob, lop, created, running,
+         blocked, sw_cached, sw_used, pgpgin, pgpgout, pswpin, pswpout,
+         pgfault, pgmaj, fs_ub, fs_ob, fs_nt) = (
+            np.zeros((H, S), dtype="int64") for _ in range(23))
+        for conv, turn, ln, role in _capture_chunks(tdir):
+            h, s = _host_tick(conv, turn, H, S)
+            c = (conv // 4) % C  # independent of the host digit — conv%2
+            # would pin each host's parity to one cpu
+            hs = h * S + s
+            hsc = hs * C + c
+            is_user = role == "user"
+            is_asst = role == "assistant"
+            is_tool = role == "tool"
+            one = np.ones_like(ln)
+            # cpu jiffy deltas per (h, s, c)
+            _scatter(du, hsc, ln)
+            _scatter(dsys, hsc, turn % 29 + 1)
+            _scatter(didle, hsc, 100 * one)
+            # memory gauge components per (h, s)
+            _scatter(used, hs, ln)
+            _scatter(bufn, hs, one)
+            _scatter(cache, hs, turn % 97)
+            # network byte/packet deltas per (h, s), split by role
+            _scatter(rxb, hs[is_user], ln[is_user])
+            _scatter(rxp, hs[is_user], one[is_user])
+            _scatter(txb, hs[is_asst], ln[is_asst])
+            _scatter(txp, hs[is_asst], one[is_asst])
+            _scatter(lob, hs[is_tool], ln[is_tool])
+            _scatter(lop, hs[is_tool], one[is_tool])
+            # disk op/sector deltas per (h, s, c); device = sda/sdb
+            _scatter(rd, hsc[~is_asst], one[~is_asst])
+            _scatter(rs, hsc[~is_asst], ln[~is_asst] // 512)
+            _scatter(wr, hsc[is_asst], one[is_asst])
+            _scatter(ws, hsc[is_asst], ln[is_asst] // 512)
+            # process counters
+            _scatter(created, hs, one)
+            _scatter(running, hs[is_user], one[is_user])
+            _scatter(blocked, hs[is_tool], one[is_tool])
+            # paging swap gauges + vmstat page/swap/fault deltas (weights
+            # chosen distinct from every other scraper family)
+            _scatter(sw_cached, hs, turn % 53)
+            _scatter(sw_used, hs, ln % 63)
+            _scatter(pgpgin, hs[is_user], ln[is_user] % 127)
+            _scatter(pgpgout, hs[is_asst], ln[is_asst] % 131)
+            _scatter(pswpin, hs[is_tool], turn[is_tool] % 13)
+            _scatter(pswpout, hs[is_asst], turn[is_asst] % 11)
+            _scatter(pgfault, hs, ln % 251)
+            _scatter(pgmaj, hs, (ln % 7 == 0).astype("int64"))
+            # filesystem: root mount fills with user bytes, data mount rest
+            _scatter(fs_ub, hs[is_user], ln[is_user])
+            _scatter(fs_ob, hs[~is_user], ln[~is_user])
+            _scatter(fs_nt, hs[is_tool], one[is_tool])
+        # post-sweep: cumulative counters are prefix sums over ticks
+        ju, js, ji = (a.cumsum(axis=1) for a in (du, dsys, didle))
+        buf = 4 * bufn
+        free = np.maximum(pf.HM_TOTAL_KB - used - buf - cache, 0)
+        rxb, rxp, txb, txp, lob, lop = (
+            a.cumsum(axis=1) for a in (rxb, rxp, txb, txp, lob, lop))
+        rd, rs, wr, ws = (a.cumsum(axis=1) for a in (rd, rs, wr, ws))
+        created = created.cumsum(axis=1)
+        sw_free = np.maximum(pf.HM_SWAP_KB - sw_used - sw_cached, 0)
+        pgpgin, pgpgout, pswpin, pswpout, pgfault, pgmaj = (
+            a.cumsum(axis=1)
+            for a in (pgpgin, pgpgout, pswpin, pswpout, pgfault, pgmaj))
+        fs_u1 = 10240 + fs_ub.cumsum(axis=1) // 16
+        fs_u2 = 20480 + fs_ob.cumsum(axis=1) // 8
+        fs_i1 = 1000 + created // 4
+        fs_i2 = 2000 + fs_nt.cumsum(axis=1) // 2
 
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".proc.tmp")
-    for hh in range(H):
-        for ss in range(S):
-            d = os.path.join(tmpdir, f"host-{hh}", f"scrape-{ss:04d}")
-            os.makedirs(d)
-            jif = [[int(ju[hh, ss, cc]), 0, int(js[hh, ss, cc]),
-                    int(ji[hh, ss, cc]), 0, 0, 0, 0] for cc in range(C)]
-            with open(os.path.join(d, "stat"), "w") as f:
-                f.write(pf.render_stat(jif, int(created[hh, ss]),
-                                       int(running[hh, ss]),
-                                       int(blocked[hh, ss])))
-            with open(os.path.join(d, "meminfo"), "w") as f:
-                f.write(pf.render_meminfo(int(free[hh, ss]),
-                                          int(buf[hh, ss]),
-                                          int(cache[hh, ss]),
-                                          int(sw_free[hh, ss]),
-                                          int(sw_cached[hh, ss])))
-            with open(os.path.join(d, "vmstat"), "w") as f:
-                f.write(pf.render_vmstat(
-                    int(pgpgin[hh, ss]), int(pgpgout[hh, ss]),
-                    int(pswpin[hh, ss]), int(pswpout[hh, ss]),
-                    int(pgfault[hh, ss]), int(pgmaj[hh, ss])))
-            with open(os.path.join(d, "df"), "w") as f:
-                f.write(pf.render_df({
-                    "sda1": (int(fs_u1[hh, ss]), int(fs_i1[hh, ss])),
-                    "sdb1": (int(fs_u2[hh, ss]), int(fs_i2[hh, ss]))}))
-            with open(os.path.join(d, "net_dev"), "w") as f:
-                f.write(pf.render_net_dev({
-                    "eth0": (int(rxb[hh, ss]), int(rxp[hh, ss]),
-                             int(txb[hh, ss]), int(txp[hh, ss])),
-                    "lo": (int(lob[hh, ss]), int(lop[hh, ss]),
-                           int(lob[hh, ss]), int(lop[hh, ss]))}))
-            with open(os.path.join(d, "diskstats"), "w") as f:
-                f.write(pf.render_diskstats({
-                    "sda": (int(rd[hh, ss, 0]), int(rs[hh, ss, 0]),
-                            int(wr[hh, ss, 0]), int(ws[hh, ss, 0])),
-                    "sdb": (int(rd[hh, ss, 1]), int(rs[hh, ss, 1]),
-                            int(wr[hh, ss, 1]), int(ws[hh, ss, 1]))}))
-            u = int(used[hh, ss])
-            with open(os.path.join(d, "loadavg"), "w") as f:
-                f.write(pf.render_loadavg(
-                    (u * 7 + ss) % 1600, (u * 5 + ss) % 800,
-                    (u * 3 + ss) % 400, int(running[hh, ss]),
-                    int(created[hh, ss]), 1000 + ss))
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+        for hh in range(H):
+            for ss in range(S):
+                d = os.path.join(out, f"host-{hh}", f"scrape-{ss:04d}")
+                os.makedirs(d)
+                jif = [[int(ju[hh, ss, cc]), 0, int(js[hh, ss, cc]),
+                        int(ji[hh, ss, cc]), 0, 0, 0, 0] for cc in range(C)]
+                with open(os.path.join(d, "stat"), "w") as f:
+                    f.write(pf.render_stat(jif, int(created[hh, ss]),
+                                           int(running[hh, ss]),
+                                           int(blocked[hh, ss])))
+                with open(os.path.join(d, "meminfo"), "w") as f:
+                    f.write(pf.render_meminfo(int(free[hh, ss]),
+                                              int(buf[hh, ss]),
+                                              int(cache[hh, ss]),
+                                              int(sw_free[hh, ss]),
+                                              int(sw_cached[hh, ss])))
+                with open(os.path.join(d, "vmstat"), "w") as f:
+                    f.write(pf.render_vmstat(
+                        int(pgpgin[hh, ss]), int(pgpgout[hh, ss]),
+                        int(pswpin[hh, ss]), int(pswpout[hh, ss]),
+                        int(pgfault[hh, ss]), int(pgmaj[hh, ss])))
+                with open(os.path.join(d, "df"), "w") as f:
+                    f.write(pf.render_df({
+                        "sda1": (int(fs_u1[hh, ss]), int(fs_i1[hh, ss])),
+                        "sdb1": (int(fs_u2[hh, ss]), int(fs_i2[hh, ss]))}))
+                with open(os.path.join(d, "net_dev"), "w") as f:
+                    f.write(pf.render_net_dev({
+                        "eth0": (int(rxb[hh, ss]), int(rxp[hh, ss]),
+                                 int(txb[hh, ss]), int(txp[hh, ss])),
+                        "lo": (int(lob[hh, ss]), int(lop[hh, ss]),
+                               int(lob[hh, ss]), int(lop[hh, ss]))}))
+                with open(os.path.join(d, "diskstats"), "w") as f:
+                    f.write(pf.render_diskstats({
+                        "sda": (int(rd[hh, ss, 0]), int(rs[hh, ss, 0]),
+                                int(wr[hh, ss, 0]), int(ws[hh, ss, 0])),
+                        "sdb": (int(rd[hh, ss, 1]), int(rs[hh, ss, 1]),
+                                int(wr[hh, ss, 1]), int(ws[hh, ss, 1]))}))
+                u = int(used[hh, ss])
+                with open(os.path.join(d, "loadavg"), "w") as f:
+                    f.write(pf.render_loadavg(
+                        (u * 7 + ss) % 1600, (u * 5 + ss) % 800,
+                        (u * 3 + ss) % 400, int(running[hh, ss]),
+                        int(created[hh, ss]), 1000 + ss))
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_docker_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1867,59 +1660,48 @@ def ensure_docker_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "docker")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
 
-    H, S, K = pf.HM_HOSTS, pf.HM_SCRAPES, dk.DK_CONTAINERS
-    total_ns, cache0, usage0, rx, tx, br, bw = (
-        np.zeros((H, S, K), dtype="int64") for _ in range(7))
-    sys0 = np.zeros((H, S), dtype="int64")
-    for conv, turn, ln, role in _capture_chunks(tdir):
-        h, s = _host_tick(conv, turn, H, S)
-        k = conv % K
-        hs = h * S + s
-        hsk = hs * K + k
-        is_user = role == "user"
-        is_asst = role == "assistant"
-        _scatter(total_ns, hsk, ln * 100_000)
-        _scatter(sys0, hs, ln * 400_000)
-        _scatter(cache0, hsk, turn % 89)
-        _scatter(usage0, hsk, ln % 509)
-        _scatter(rx, hsk[is_user], ln[is_user])
-        _scatter(tx, hsk[is_asst], ln[is_asst])
-        _scatter(br, hsk[~is_asst], ln[~is_asst] % 1021)
-        _scatter(bw, hsk[is_asst], ln[is_asst] % 1031)
-    total_ns = total_ns.cumsum(axis=1)
-    sys_ns = (sys0 + 10_000_000).cumsum(axis=1)
-    cache = cache0 * 1024
-    usage = cache + usage0 * 4096
-    rx, tx, br, bw = (a.cumsum(axis=1) for a in (rx, tx, br, bw))
+    def render(out: str) -> None:
+        H, S, K = pf.HM_HOSTS, pf.HM_SCRAPES, dk.DK_CONTAINERS
+        total_ns, cache0, usage0, rx, tx, br, bw = (
+            np.zeros((H, S, K), dtype="int64") for _ in range(7))
+        sys0 = np.zeros((H, S), dtype="int64")
+        for conv, turn, ln, role in _capture_chunks(tdir):
+            h, s = _host_tick(conv, turn, H, S)
+            k = conv % K
+            hs = h * S + s
+            hsk = hs * K + k
+            is_user = role == "user"
+            is_asst = role == "assistant"
+            _scatter(total_ns, hsk, ln * 100_000)
+            _scatter(sys0, hs, ln * 400_000)
+            _scatter(cache0, hsk, turn % 89)
+            _scatter(usage0, hsk, ln % 509)
+            _scatter(rx, hsk[is_user], ln[is_user])
+            _scatter(tx, hsk[is_asst], ln[is_asst])
+            _scatter(br, hsk[~is_asst], ln[~is_asst] % 1021)
+            _scatter(bw, hsk[is_asst], ln[is_asst] % 1031)
+        total_ns = total_ns.cumsum(axis=1)
+        sys_ns = (sys0 + 10_000_000).cumsum(axis=1)
+        cache = cache0 * 1024
+        usage = cache + usage0 * 4096
+        rx, tx, br, bw = (a.cumsum(axis=1) for a in (rx, tx, br, bw))
 
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".dkr.tmp")
-    for hh in range(H):
-        for ss in range(S):
-            d = os.path.join(tmpdir, f"host-{hh}", f"scrape-{ss:04d}")
-            os.makedirs(d)
-            lines = [dk.render_stats_line(
-                f"ctr-{hh}-{kk}", f"svc-{kk}", f"img-{kk % 2}",
-                int(total_ns[hh, ss, kk]), int(sys_ns[hh, ss]),
-                int(usage[hh, ss, kk]), int(cache[hh, ss, kk]),
-                int(rx[hh, ss, kk]), int(tx[hh, ss, kk]),
-                int(br[hh, ss, kk]), int(bw[hh, ss, kk]))
-                for kk in range(K)]
-            with open(os.path.join(d, "docker"), "w") as f:
-                f.write("\n".join(lines) + "\n")
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+        for hh in range(H):
+            for ss in range(S):
+                d = os.path.join(out, f"host-{hh}", f"scrape-{ss:04d}")
+                os.makedirs(d)
+                lines = [dk.render_stats_line(
+                    f"ctr-{hh}-{kk}", f"svc-{kk}", f"img-{kk % 2}",
+                    int(total_ns[hh, ss, kk]), int(sys_ns[hh, ss]),
+                    int(usage[hh, ss, kk]), int(cache[hh, ss, kk]),
+                    int(rx[hh, ss, kk]), int(tx[hh, ss, kk]),
+                    int(br[hh, ss, kk]), int(bw[hh, ss, kk]))
+                    for kk in range(K)]
+                with open(os.path.join(d, "docker"), "w") as f:
+                    f.write("\n".join(lines) + "\n")
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_kubelet_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -1942,88 +1724,79 @@ def ensure_kubelet_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "kubelet")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
 
-    H, S, P, C = pf.HM_HOSTS, pf.HM_SCRAPES, kl.KS_PODS, kl.KS_CONTAINERS
-    pod_dns, pod_nano, pod_ws0, pod_rx, pod_tx, vol_len, vol_n = (
-        np.zeros((H, S, P), dtype="int64") for _ in range(7))
-    ctr_dns, ctr_ws0 = (np.zeros((H, S, P, C), dtype="int64")
-                        for _ in range(2))
-    for conv, turn, ln, role in _capture_chunks(tdir):
-        h, s = _host_tick(conv, turn, H, S)
-        p = (conv // 2) % P
-        c = turn % C
-        hsp = (h * S + s) * P + p
-        hspc = hsp * C + c
-        is_user = role == "user"
-        is_asst = role == "assistant"
-        one = np.ones_like(ln)
-        _scatter(pod_dns, hsp, ln * 50_000)
-        _scatter(pod_nano, hsp, ln * 5_000)
-        _scatter(pod_ws0, hsp, ln % 769)
-        _scatter(pod_rx, hsp[is_user], ln[is_user])
-        _scatter(pod_tx, hsp[is_asst], ln[is_asst])
-        _scatter(ctr_dns, hspc, ln * 25_000)
-        _scatter(ctr_ws0, hspc, ln % 521)
-        _scatter(vol_len, hsp, ln)
-        _scatter(vol_n, hsp, one)
-    pod_cns = pod_dns.cumsum(axis=1)
-    pod_ws = pod_ws0 * 2048
-    pod_rx, pod_tx = pod_rx.cumsum(axis=1), pod_tx.cumsum(axis=1)
-    ctr_cns = ctr_dns.cumsum(axis=1)
-    ctr_ws = ctr_ws0 * 1024
-    node_cns = (pod_dns.sum(axis=2) + 5_000_000).cumsum(axis=1)
-    node_nano = pod_nano.sum(axis=2) + 500_000
-    node_ws = pod_ws.sum(axis=2) + 1_073_741_824
-    node_rx, node_tx = pod_rx.sum(axis=2), pod_tx.sum(axis=2)
-    vol_used = vol_len.cumsum(axis=1) * 4096
-    vol_avail = np.maximum(kl.KS_VOL_CAPACITY - vol_used, 0)
-    vol_iused = 100 + vol_n.cumsum(axis=1) // 2
+    def render(out: str) -> None:
+        H, S, P, C = (pf.HM_HOSTS, pf.HM_SCRAPES, kl.KS_PODS,
+                      kl.KS_CONTAINERS)
+        pod_dns, pod_nano, pod_ws0, pod_rx, pod_tx, vol_len, vol_n = (
+            np.zeros((H, S, P), dtype="int64") for _ in range(7))
+        ctr_dns, ctr_ws0 = (np.zeros((H, S, P, C), dtype="int64")
+                            for _ in range(2))
+        for conv, turn, ln, role in _capture_chunks(tdir):
+            h, s = _host_tick(conv, turn, H, S)
+            p = (conv // 2) % P
+            c = turn % C
+            hsp = (h * S + s) * P + p
+            hspc = hsp * C + c
+            is_user = role == "user"
+            is_asst = role == "assistant"
+            one = np.ones_like(ln)
+            _scatter(pod_dns, hsp, ln * 50_000)
+            _scatter(pod_nano, hsp, ln * 5_000)
+            _scatter(pod_ws0, hsp, ln % 769)
+            _scatter(pod_rx, hsp[is_user], ln[is_user])
+            _scatter(pod_tx, hsp[is_asst], ln[is_asst])
+            _scatter(ctr_dns, hspc, ln * 25_000)
+            _scatter(ctr_ws0, hspc, ln % 521)
+            _scatter(vol_len, hsp, ln)
+            _scatter(vol_n, hsp, one)
+        pod_cns = pod_dns.cumsum(axis=1)
+        pod_ws = pod_ws0 * 2048
+        pod_rx, pod_tx = pod_rx.cumsum(axis=1), pod_tx.cumsum(axis=1)
+        ctr_cns = ctr_dns.cumsum(axis=1)
+        ctr_ws = ctr_ws0 * 1024
+        node_cns = (pod_dns.sum(axis=2) + 5_000_000).cumsum(axis=1)
+        node_nano = pod_nano.sum(axis=2) + 500_000
+        node_ws = pod_ws.sum(axis=2) + 1_073_741_824
+        node_rx, node_tx = pod_rx.sum(axis=2), pod_tx.sum(axis=2)
+        vol_used = vol_len.cumsum(axis=1) * 4096
+        vol_avail = np.maximum(kl.KS_VOL_CAPACITY - vol_used, 0)
+        vol_iused = 100 + vol_n.cumsum(axis=1) // 2
 
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".kl.tmp")
-    for hh in range(H):
-        for ss in range(S):
-            d = os.path.join(tmpdir, f"host-{hh}", f"scrape-{ss:04d}")
-            os.makedirs(d)
-            pods = []
-            for pp in range(P):
-                ctrs = [{"name": f"c{cc}",
-                         "cpu": {"usageCoreNanoSeconds":
-                                 int(ctr_cns[hh, ss, pp, cc])},
-                         "memory": {"workingSetBytes":
-                                    int(ctr_ws[hh, ss, pp, cc])}}
-                        for cc in range(C)]
-                vol = {"name": f"vol-{pp}",
-                       "availableBytes": int(vol_avail[hh, ss, pp]),
-                       "capacityBytes": kl.KS_VOL_CAPACITY,
-                       "inodes": kl.KS_VOL_INODES,
-                       "inodesFree": kl.KS_VOL_INODES
-                       - int(vol_iused[hh, ss, pp]),
-                       "inodesUsed": int(vol_iused[hh, ss, pp])}
-                pods.append(kl.pod_entry(
-                    f"pod-{pp}", f"ns-{pp % 2}", f"uid-{hh}-{pp}",
-                    int(pod_cns[hh, ss, pp]), int(pod_nano[hh, ss, pp]),
-                    int(pod_ws[hh, ss, pp]), int(pod_rx[hh, ss, pp]),
-                    int(pod_tx[hh, ss, pp]), ctrs, vol))
-            node = {"cpu": {"usageCoreNanoSeconds": int(node_cns[hh, ss]),
-                            "usageNanoCores": int(node_nano[hh, ss])},
-                    "memory": {"workingSetBytes": int(node_ws[hh, ss])},
-                    "network": {"rxBytes": int(node_rx[hh, ss]),
-                                "txBytes": int(node_tx[hh, ss])}}
-            with open(os.path.join(d, "summary.json"), "w") as f:
-                f.write(kl.render_summary(f"host-{hh}", node, pods))
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+        for hh in range(H):
+            for ss in range(S):
+                d = os.path.join(out, f"host-{hh}", f"scrape-{ss:04d}")
+                os.makedirs(d)
+                pods = []
+                for pp in range(P):
+                    ctrs = [{"name": f"c{cc}",
+                             "cpu": {"usageCoreNanoSeconds":
+                                     int(ctr_cns[hh, ss, pp, cc])},
+                             "memory": {"workingSetBytes":
+                                        int(ctr_ws[hh, ss, pp, cc])}}
+                            for cc in range(C)]
+                    vol = {"name": f"vol-{pp}",
+                           "availableBytes": int(vol_avail[hh, ss, pp]),
+                           "capacityBytes": kl.KS_VOL_CAPACITY,
+                           "inodes": kl.KS_VOL_INODES,
+                           "inodesFree": kl.KS_VOL_INODES
+                           - int(vol_iused[hh, ss, pp]),
+                           "inodesUsed": int(vol_iused[hh, ss, pp])}
+                    pods.append(kl.pod_entry(
+                        f"pod-{pp}", f"ns-{pp % 2}", f"uid-{hh}-{pp}",
+                        int(pod_cns[hh, ss, pp]), int(pod_nano[hh, ss, pp]),
+                        int(pod_ws[hh, ss, pp]), int(pod_rx[hh, ss, pp]),
+                        int(pod_tx[hh, ss, pp]), ctrs, vol))
+                node = {"cpu": {"usageCoreNanoSeconds":
+                                int(node_cns[hh, ss]),
+                                "usageNanoCores": int(node_nano[hh, ss])},
+                        "memory": {"workingSetBytes": int(node_ws[hh, ss])},
+                        "network": {"rxBytes": int(node_rx[hh, ss]),
+                                    "txBytes": int(node_tx[hh, ss])}}
+                with open(os.path.join(d, "summary.json"), "w") as f:
+                    f.write(kl.render_summary(f"host-{hh}", node, pods))
+
+    return _cached_fixture(path, render, force)
 
 
 def ensure_k8s_dump(sf_dir_or_name: str, force: bool = False) -> str:
@@ -2045,62 +1818,51 @@ def ensure_k8s_dump(sf_dir_or_name: str, force: bool = False) -> str:
 
     tdir = ensure_transcripts(sf_dir_or_name)
     path = os.path.join(FIXTURE_ROOT, sf_name(sf_dir_or_name), "k8s")
-    if os.path.isdir(path) and _version_ok(path) and not force:
-        return path
-    if os.path.isdir(path):
-        import shutil
-        shutil.rmtree(path, ignore_errors=True)
 
-    H, S, P = pf.HM_HOSTS, pf.HM_SCRAPES, 3
-    act, rst = (np.zeros((H, S, P), dtype="int64") for _ in range(2))
-    for conv, turn, ln, _role in _capture_chunks(tdir):
-        h, s = _host_tick(conv, turn, H, S)
-        p = (conv // 2) % P
-        hsp = (h * S + s) * P + p
-        _scatter(act, hsp, ln)
-        _scatter(rst, hsp, (ln % 31 == 0).astype("int64"))
-    restarts = rst.cumsum(axis=1)
-    phase = np.full((H, S, P), 2, dtype="int64")
-    phase[act % 13 == 0] = 5
-    phase[act % 17 == 0] = 4
-    phase[act % 23 == 0] = 3
-    phase[act == 0] = 1
-    nact = act.sum(axis=2)
-    node_ready = (nact != 0) & (nact % 11 != 0)
-    avail = (phase == 2).sum(axis=0)  # (S, P) running-pod counts
+    def render(out: str) -> None:
+        H, S, P = pf.HM_HOSTS, pf.HM_SCRAPES, 3
+        act, rst = (np.zeros((H, S, P), dtype="int64") for _ in range(2))
+        for conv, turn, ln, _role in _capture_chunks(tdir):
+            h, s = _host_tick(conv, turn, H, S)
+            p = (conv // 2) % P
+            hsp = (h * S + s) * P + p
+            _scatter(act, hsp, ln)
+            _scatter(rst, hsp, (ln % 31 == 0).astype("int64"))
+        restarts = rst.cumsum(axis=1)
+        phase = np.full((H, S, P), 2, dtype="int64")
+        phase[act % 13 == 0] = 5
+        phase[act % 17 == 0] = 4
+        phase[act % 23 == 0] = 3
+        phase[act == 0] = 1
+        nact = act.sum(axis=2)
+        node_ready = (nact != 0) & (nact % 11 != 0)
+        avail = (phase == 2).sum(axis=0)  # (S, P) running-pod counts
 
-    tmpdir = tempfile.mkdtemp(dir=os.path.dirname(path), prefix=".k8.tmp")
-    for ss in range(S):
-        d = os.path.join(tmpdir, f"scrape-{ss:04d}")
-        os.makedirs(d)
         # labels exercise the discovery service-name precedence chain:
         # pod-0 carries app.kubernetes.io/instance (1st), pod-2 carries
         # app (3rd), pod-1 has none → the pod-name owner regexp
         labels = {0: {"app.kubernetes.io/instance": "inst-0"},
                   1: None, 2: {"app": "app-2"}}
-        pods = [{"name": f"pod-{pp}", "namespace": f"ns-{pp % 2}",
-                 "uid": f"uid-{hh}-{pp}", "node": f"host-{hh}",
-                 "phase": kc.phase_name(int(phase[hh, ss, pp])),
-                 "labels": labels[pp],
-                 "containers": [
-                     {"name": f"c{cc}",
-                      "restartCount": int(restarts[hh, ss, pp]),
-                      "ready": bool(phase[hh, ss, pp] == 2)}
-                     for cc in range(2)]}
-                for hh in range(H) for pp in range(P)]
-        deps = [{"name": f"deploy-{pp}", "namespace": f"ns-{pp % 2}",
-                 "desired": H, "available": int(avail[ss, pp])}
-                for pp in range(P)]
-        nodes = [{"name": f"host-{hh}", "uid": f"nuid-{hh}",
-                  "ready": bool(node_ready[hh, ss])}
-                 for hh in range(H)]
-        with open(os.path.join(d, "objects.json"), "w") as f:
-            f.write(kc.render_objects(pods, deps, nodes))
-    with open(os.path.join(tmpdir, ".version"), "w") as f:
-        f.write(CORPUS_VERSION)
-    try:
-        os.replace(tmpdir, path)
-    except OSError:
-        import shutil
-        shutil.rmtree(tmpdir, ignore_errors=True)
-    return path
+        for ss in range(S):
+            d = os.path.join(out, f"scrape-{ss:04d}")
+            os.makedirs(d)
+            pods = [{"name": f"pod-{pp}", "namespace": f"ns-{pp % 2}",
+                     "uid": f"uid-{hh}-{pp}", "node": f"host-{hh}",
+                     "phase": kc.phase_name(int(phase[hh, ss, pp])),
+                     "labels": labels[pp],
+                     "containers": [
+                         {"name": f"c{cc}",
+                          "restartCount": int(restarts[hh, ss, pp]),
+                          "ready": bool(phase[hh, ss, pp] == 2)}
+                         for cc in range(2)]}
+                    for hh in range(H) for pp in range(P)]
+            deps = [{"name": f"deploy-{pp}", "namespace": f"ns-{pp % 2}",
+                     "desired": H, "available": int(avail[ss, pp])}
+                    for pp in range(P)]
+            nodes = [{"name": f"host-{hh}", "uid": f"nuid-{hh}",
+                      "ready": bool(node_ready[hh, ss])}
+                     for hh in range(H)]
+            with open(os.path.join(d, "objects.json"), "w") as f:
+                f.write(kc.render_objects(pods, deps, nodes))
+
+    return _cached_fixture(path, render, force)

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
+import pandas as pd
 import ray
 import ray.data
 
@@ -158,6 +160,57 @@ def sink_counts(ds: "ray.data.Dataset") -> dict[str, int]:
     return dict(zip(pdf["sink"], pdf["n"].astype(int)))
 
 
+@contextmanager
+def reservation_off(when: bool = True) -> Iterator[None]:
+    """Scope ``DataContext.op_resource_reservation_enabled = False`` (when
+    ``when``) and restore the previous value on exit, also on error.
+
+    For map-only chains: per-operator resource reservation idles ~45% of
+    CPUs there and exists to protect all-to-all ops such a chain doesn't
+    have (CLAUDE.md). Keep it ON for pipelines ending in a LARGE
+    all-to-all."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    prev = ctx.op_resource_reservation_enabled
+    if when:
+        ctx.op_resource_reservation_enabled = False
+    try:
+        yield
+    finally:
+        ctx.op_resource_reservation_enabled = prev
+
+
+def _export_counts(ds: "ray.data.Dataset", out_dir: str,
+                   partition_col: str | None = None,
+                   stats_path: str | None = None) -> "pd.DataFrame":
+    """The shared export tail: per-sink Parquet under ``out_dir`` via the
+    write-through SinkWriter, and its partial counts folded to ONE frame of
+    ``[partition_col,] sink, severity_text, tool, n``.
+
+    Partials are bounded by #blocks × #groups; the coalescing combine level
+    (aggregate._sum_combine) folds them so the driver-side final sum sees
+    O(#groups) rows. Its num_cpus=0 keeps the combine a SEPARATE zero-cost
+    operator: fused, its 65k batch_size would re-bundle the read blocks
+    and re-batch SinkWriter's input across file boundaries, breaking the
+    batch-per-partition invariant asserted in export.py. ``stats_path``
+    archives the executed chain's ``ds.stats()``."""
+    from ..stages.export import SinkWriter
+    from .aggregate import _sum_combine
+
+    keys = ["sink", "severity_text", "tool"]
+    if partition_col is not None:
+        keys = [partition_col, *keys]
+    partials = ds.map_batches(SinkWriter(out_dir, partition_col=partition_col),
+                              batch_format="pyarrow")
+    pre = _sum_combine(partials, keys, ["n"])
+    pdf = pre.to_pandas().groupby(keys, as_index=False)["n"].sum()
+    if stats_path:
+        with open(stats_path, "w") as f:
+            f.write(pre.stats())
+    return pdf
+
+
 def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
     """End-to-end run: export per-sink Parquet + per-sink aggregates.
 
@@ -166,16 +219,7 @@ def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
     the only shuffled rows are those partials (collector exporter+obsreport
     coupling, see stages/export.py). Aggregates land next to the sink dirs.
     """
-    from ray.data import DataContext
-
-    from ..stages.export import SinkWriter
-    from .aggregate import _sum_combine
-
-    keys = ["sink", "severity_text", "tool"]
-
     t0 = time.time()
-    ctx = DataContext.get_current()
-    prev_reserve = ctx.op_resource_reservation_enabled
     # map-only chain (read → fused map → combine): per-operator resource
     # reservation idles ~45% of CPUs here (measured 15.5 s vs 13.3 s at
     # sf1.6/32) and exists to protect all-to-all ops this pipeline doesn't
@@ -190,30 +234,15 @@ def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
     # 29 GB stream ran spill-free in 37.6 GB under exactly that regime).
     est_stream = corpus_row_count(sf_dir) * 115
     store = int(ray.cluster_resources().get("object_store_memory", 0))
-    if est_stream < 0.8 * (store or float("inf")):
-        ctx.op_resource_reservation_enabled = False
-    try:
+    with reservation_off(est_stream < 0.8 * (store or float("inf"))):
         ds = build_logs_dataset(
             read_transcripts(sf_dir,
                              parallelism=flagship_num_blocks(sf_dir)))
         routed_dir = os.path.join(out_dir, "by_sink")
         os.makedirs(routed_dir, exist_ok=True)
-        partials = ds.map_batches(SinkWriter(routed_dir),
-                                  batch_format="pyarrow")
-        # partial counts are bounded by #blocks × #groups; the shared
-        # coalescing combine level (aggregate._sum_combine — carries the
-        # num_cpus=0 fusion break and the 65k batch_size rationale) folds
-        # ~2000 blocks into one, so the driver-side final sum sees
-        # O(#groups) rows
-        pre = _sum_combine(partials, keys, ["n"])
-        agg_pdf = pre.to_pandas()
-        agg_pdf = agg_pdf.groupby(keys, as_index=False)["n"].sum()
-        stats_path = os.environ.get("GRAFT_FLAGSHIP_STATS")
-        if stats_path:  # archive the executed chain's ds.stats() (soak
-            with open(stats_path, "w") as f:  # evidence, SCALE.md audits)
-                f.write(pre.stats())
-    finally:
-        ctx.op_resource_reservation_enabled = prev_reserve
+        # GRAFT_FLAGSHIP_STATS: soak evidence, SCALE.md audits
+        agg_pdf = _export_counts(
+            ds, routed_dir, stats_path=os.environ.get("GRAFT_FLAGSHIP_STATS"))
     t_route = time.time() - t0
 
     agg_dir = os.path.join(out_dir, "aggregates")
@@ -276,11 +305,13 @@ def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
 
     processed: dict[str, dict] = {}
     if todo:
-        from ..stages.export import SinkWriter
-
+        # ONE read task per part file: Ray's automatic block count packs
+        # several small files into one block, and SinkWriter's
+        # batch-per-partition guard (stages/export.py) rejects a batch
+        # that spans input partitions
         ds = ray.data.read_parquet(
-            [p for _, p, _ in todo], columns=INPUT_COLUMNS, include_paths=True
-        )
+            [p for _, p, _ in todo], columns=INPUT_COLUMNS,
+            include_paths=True, override_num_blocks=len(todo))
         import pyarrow as pa
         import pyarrow.compute as pc
 
@@ -288,25 +319,11 @@ def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
             base = pc.replace_substring_regex(t["path"], r"^.*/|\.parquet$", "")
             return t.drop_columns(["path"]).append_column("part", base)
 
-        ds = ds.map_batches(tag_part, batch_format="pyarrow")
-        ds = build_logs_dataset(ds)
+        ds = build_logs_dataset(
+            ds.map_batches(tag_part, batch_format="pyarrow"))
         # single pass: per-partition per-sink export + lineage partials
         # (manifest counts come from the SAME pass, no output re-read)
-        partials = ds.map_batches(
-            SinkWriter(out_dir, partition_col="part"), batch_format="pyarrow")
-        pkeys = ["part", "sink", "severity_text", "tool"]
-
-        from .aggregate import _sum_combine
-
-        # _sum_combine's num_cpus=0 keeps the combine a SEPARATE zero-cost
-        # operator: fused, its batch_size would re-batch SinkWriter's input
-        # across file boundaries, breaking the batch-per-partition
-        # invariant asserted in export.py
-        cpdf = (
-            _sum_combine(partials, pkeys, ["n"])
-            .to_pandas()
-            .groupby(pkeys, as_index=False)["n"].sum()
-        )
+        cpdf = _export_counts(ds, out_dir, partition_col="part")
         # one pass over the combined frame, not one full scan per part
         by_part = dict(tuple(cpdf.groupby("part")))
         empty = cpdf.iloc[0:0]

@@ -30,7 +30,7 @@ import ray.data
 from ..stages.enrich import build_dim_table, make_enrich_fn
 from ..stages.parse import ParseStage
 from ..stages.route import RouteStage
-from .logs import flagship_num_blocks, read_transcripts
+from .logs import _export_counts, flagship_num_blocks, read_transcripts
 
 
 def run_agent_tier(sf_dir: str, staging_dir: str,
@@ -64,9 +64,6 @@ def run_gateway_tier(staging_dir: str, out_dir: str,
     The staging area is already column-pruned (the agent tier wrote
     exactly the parse/enrich output the gateway consumes), so the read
     carries no projection of its own."""
-    from ..stages.export import SinkWriter
-    from .aggregate import _sum_combine
-
     if transport == "otlp":
         from ..sources.otlp import read_otlp_logs
 
@@ -80,12 +77,7 @@ def run_gateway_tier(staging_dir: str, out_dir: str,
     ds = ds.map_batches(RouteStage(), batch_format="pyarrow")
     routed_dir = os.path.join(out_dir, "by_sink")
     os.makedirs(routed_dir, exist_ok=True)
-    partials = ds.map_batches(SinkWriter(routed_dir), batch_format="pyarrow")
-    keys = ["sink", "severity_text", "tool"]
-    # same partial-coalescing shape as run_flagship, via the shared
-    # combiner level (carries the num_cpus=0 fusion break)
-    pre = _sum_combine(partials, keys, ["n"])
-    agg = pre.to_pandas().groupby(keys, as_index=False)["n"].sum()
+    agg = _export_counts(ds, routed_dir)  # run_flagship's export tail
     return {
         "rows": int(agg["n"].sum()),
         "sink_counts": agg.groupby("sink")["n"].sum().astype(int).to_dict(),

@@ -144,7 +144,9 @@ def encode_upload(rows: "list[dict]") -> bytes:
                 d = dp.dimensions.add()
                 d.key = k
                 d.value = v
-    return gzip.compress(msg.SerializeToString(), 6)
+    # mtime=0: the gzip header otherwise stamps the wall clock, and the
+    # same datapoints must give the same bytes (reproducible fixtures)
+    return gzip.compress(msg.SerializeToString(), 6, mtime=0)
 
 
 def _decode_upload(data: bytes, cols: "dict[str, list]") -> None:

@@ -1332,10 +1332,14 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
             "pos": out["pos"].to_numpy().astype(np.int64),
             "is_canon": first[keep]})
 
+    # materialized: the threshold count and the gather/join below both
+    # consume it, and a lazy plan would rerun candidates + confirm (and
+    # the whole upstream chain) once per consumption
     mask_ds = bucket_fold(
         ds.map_batches(candidates, batch_format="pyarrow"),
-        "_hb", confirm)
-    if mask_ds.count() > max_broadcast_masks:
+        "_hb", confirm).materialize()
+    # pos=-1 rows are per-block "no masks" sentinels, not mask rows
+    if mask_ds.filter(expr="pos >= 0").count() > max_broadcast_masks:
         return _substring_rebuild_joined(ds, mask_ds, k, text_col, id_col,
                                          num_buckets)
 

@@ -960,3 +960,42 @@ def test_substring_dedup_join_path_equals_broadcast(ray_session):
          .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
     assert a["doc_id"].tolist() == [1, 2, 4, 7]  # doc 3 vanishes
+
+
+def test_substring_dedup_threshold_counts_real_masks_only(ray_session,
+                                                          monkeypatch):
+    """The broadcast-vs-join switch compares REAL mask rows against
+    max_broadcast_masks: with the real count exactly at the threshold and
+    per-block pos=-1 sentinels in the mask stream, the broadcast path
+    must run."""
+    import ray.data
+
+    from splunk_otel_collector_ray.stages import dedup
+
+    folds = []
+    real_fold = dedup.bucket_fold
+
+    def spy(*a, **kw):
+        folds.append(real_fold(*a, **kw))
+        return folds[-1]
+
+    def no_join(*a, **kw):
+        raise AssertionError("took the distributed join path")
+
+    monkeypatch.setattr(dedup, "bucket_fold", spy)
+    monkeypatch.setattr(dedup, "_substring_rebuild_joined", no_join)
+    span = "one two three four five"
+    dup = pa.table({
+        "doc_id": pa.array([1, 2, 3, 7], type=pa.int64()),
+        "text": ["x " + span + " y", "p q " + span, span,
+                 "a b c d e a b c d e"]})
+    # duplicate-free blocks: each contributes a pos=-1 sentinel
+    clean = [pa.table({"doc_id": pa.array([100 + i], type=pa.int64()),
+                       "text": [f"w{i} v{i} u{i} t{i} s{i} r{i}"]})
+             for i in range(6)]
+    out = dedup.substring_dedup(ray.data.from_arrow([dup, *clean]), k=5,
+                                max_broadcast_masks=5).to_pandas()
+    masks = folds[-1].to_pandas()
+    assert (masks["pos"] >= 0).sum() == 5  # 3 span copies + 2 "a b c d e"
+    assert (masks["pos"] < 0).any()
+    assert sorted(out["doc_id"]) == [1, 2, 7, *range(100, 106)]

@@ -195,6 +195,39 @@ def test_resumable_multi_partition_matrix(ray_session, tmp_path):
             == r1["processed"]["part-001"]["sink_counts"])
 
 
+def test_resumable_many_tiny_parts(ray_session, tmp_path):
+    """~40 tiny conv-aligned part files: the read gives each file its own
+    task. Ray's automatic block count packs several small files into one
+    block, which SinkWriter's batch-per-partition guard rejects."""
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+
+    t = corpus.build_transcripts("sf0.001")
+    src = tmp_path / "src"
+    src.mkdir()
+    conv = t.column("conv_id").to_pandas().to_numpy()
+    cuts = [0]
+    for k in range(1, 40):
+        i = k * t.num_rows // 40
+        while i < t.num_rows and conv[i] == conv[i - 1]:
+            i += 1
+        if cuts[-1] < i < t.num_rows:
+            cuts.append(i)
+    cuts.append(t.num_rows)
+    assert len(cuts) > 30
+    for k in range(len(cuts) - 1):
+        pq.write_table(t.slice(cuts[k], cuts[k + 1] - cuts[k]),
+                       str(src / f"part-{k:03d}.parquet"))
+
+    r = run_resumable(str(src), str(tmp_path / "out"))
+    assert sorted(r["processed"]) == [
+        f"part-{k:03d}" for k in range(len(cuts) - 1)]
+    for k in range(len(cuts) - 1):
+        assert r["processed"][f"part-{k:03d}"]["rows"] == cuts[k + 1] - cuts[k]
+
+
 def test_two_tier_matches_single_tier(ray_session, sf_dir, tmp_path):
     """agent→gateway split must reproduce the single-tier flagship exactly
     (same per-sink counts) — the tier boundary is pure transport."""
