@@ -5381,7 +5381,8 @@ def oracle_sql() -> dict[str, str]:
             # engine compares 64-bit gram hashes, the oracle gram strings —
             # equal up to hash collisions (~1e-11 at corpus gram counts)
             "WITH toks AS MATERIALIZED (SELECT doc_id, "
-            r"regexp_extract_all(text, '[^ \t\n]+') AS t FROM documents), "
+            r"regexp_extract_all(COALESCE(text, ''), '[^ \t\n]+') AS t "
+            "FROM documents), "
             "grams AS MATERIALIZED (SELECT doc_id, "
             "array_to_string(t[i:i+7], ' ') AS g FROM ("
             "SELECT doc_id, t, unnest(range(1, greatest(length(t)-6, 1))) "
@@ -5396,7 +5397,8 @@ def oracle_sql() -> dict[str, str]:
             # one division of identical int64 counts, verdict = integer
             # comparison (10*n_hit >= 7*n_grams)
             "WITH toks AS MATERIALIZED (SELECT doc_id, "
-            r"regexp_extract_all(text, '[^ \t\n]+') AS t FROM documents), "
+            r"regexp_extract_all(COALESCE(text, ''), '[^ \t\n]+') AS t "
+            "FROM documents), "
             "grams AS MATERIALIZED (SELECT doc_id, "
             "array_to_string(t[i:i+7], ' ') AS g FROM ("
             "SELECT doc_id, t, unnest(range(1, greatest(length(t)-6, 1))) "

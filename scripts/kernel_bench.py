@@ -1,7 +1,9 @@
 """Single-threaded kernel A/B pin (r3 VERDICT item 1).
 
-Times the parse kernel (and the recombine stitch fold) over the sf0.1
-corpus IN-PROCESS with no Ray — pure pyarrow/pandas compute on one core.
+Times the parse kernel (also split into the classify router and the rest:
+extraction plus ts/severity/attribute assembly), the recombine stitch fold
+and the doc-stats kernels over the sf0.1 corpus IN-PROCESS with no Ray —
+pure pyarrow/pandas compute on one core.
 The sandbox VM's shared-host CPU steal inflates PARALLEL wall times by up
 to ~50% between same-binary captures (see BASELINE.md variance note); the
 single-threaded kernel is immune to scheduler contention, so:
@@ -41,6 +43,13 @@ def main() -> None:
     t0 = time.perf_counter()
     parsed = [fn(t) for t in tables]
     parse_s = time.perf_counter() - t0
+    # the router's share of it, on the same tables; the rest is extraction
+    # and ts/severity/attribute assembly
+    stage = ParseStage()
+    t0 = time.perf_counter()
+    for t in tables:
+        stage.classify(t["text"].combine_chunks())
+    classify_s = time.perf_counter() - t0
 
     import pyarrow.compute as pc
 
@@ -83,6 +92,8 @@ def main() -> None:
         "metric": "single-threaded kernel seconds (no Ray)",
         "sf": corpus.sf_name(sf_dir), "rows": n_rows,
         "parse_kernel_sec": round(parse_s, 3),
+        "parse_classify_sec": round(classify_s, 3),
+        "parse_extract_sec": round(parse_s - classify_s, 3),
         "parse_rows_per_sec": round(n_rows / parse_s, 1),
         "stitch_kernel_sec": round(stitch_s, 3),
         "stitch_rows": n_stitch,

@@ -1186,6 +1186,32 @@ def _window_hashes(lens: np.ndarray, tok_hash: np.ndarray, k: int
     return starts, pos, fold
 
 
+def _substring_confirm(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
+    """``substring_dedup``'s string-confirm fold over one bucket group of
+    candidate windows → the (id, pos, is_canon) mask of windows whose exact
+    gram occurs ≥ 2 times; is_canon marks each gram's first (id, pos)."""
+    sent = g.head(1)
+    g = g[g["gram"] != ""]
+    g = g.sort_values(["gram", id_col, "pos"], kind="mergesort")
+    c = g.groupby("gram", sort=False)["gram"].transform("size")
+    keep = (c >= 2).to_numpy()
+    first = (~g["gram"].duplicated()).to_numpy()
+    out = g[keep]
+    if not len(out):
+        # pos=-1 sentinel, dtype-safe (reuses a real id value); filtered
+        # at the driver before the mask broadcast. An empty group has no
+        # id to reuse, so the sentinel is sized to it (0 rows), as
+        # candidates() does with n_sent
+        return pd.DataFrame({
+            id_col: sent[id_col].to_numpy(),
+            "pos": np.full(len(sent), -1, dtype=np.int64),
+            "is_canon": np.ones(len(sent), dtype=bool)})
+    return pd.DataFrame({
+        id_col: out[id_col].to_numpy(),
+        "pos": out["pos"].to_numpy().astype(np.int64),
+        "is_canon": first[keep]})
+
+
 def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
                     text_col: str = "text", id_col: str = "doc_id",
                     num_buckets: int | None = None,
@@ -1289,8 +1315,8 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
         if not hit.any():
             # gram="" sentinel (a real k-token gram always contains k-1
             # separator spaces, so "" is unreachable for the enforced
-            # k >= 2): keeps the task output non-empty; `confirm` drops
-            # it before grouping. A 0-row block (possible if a future Ray
+            # k >= 2): keeps the task output non-empty;
+            # `_substring_confirm` drops it before grouping. A 0-row block (possible if a future Ray
             # version stops skipping UDFs on empties) has no id value to
             # reuse — return the typed empty instead of a mismatched row.
             n_sent = min(t.num_rows, 1)
@@ -1312,32 +1338,12 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
             "gram": pa.array(gram, type=pa.string()),
             "_hb": pa.array((fold[hit] % num_buckets).astype(np.int32))})
 
-    def confirm(g: pd.DataFrame) -> pd.DataFrame:
-        sent = g.head(1)
-        g = g[g["gram"] != ""]
-        g = g.sort_values(["gram", id_col, "pos"], kind="mergesort")
-        c = g.groupby("gram", sort=False)["gram"].transform("size")
-        keep = (c >= 2).to_numpy()
-        first = (~g["gram"].duplicated()).to_numpy()
-        out = g[keep]
-        if not len(out):
-            # pos=-1 sentinel, dtype-safe (reuses a real id value);
-            # filtered at the driver before the mask broadcast
-            return pd.DataFrame({
-                id_col: sent[id_col].to_numpy(),
-                "pos": np.array([-1], dtype=np.int64),
-                "is_canon": np.array([True])})
-        return pd.DataFrame({
-            id_col: out[id_col].to_numpy(),
-            "pos": out["pos"].to_numpy().astype(np.int64),
-            "is_canon": first[keep]})
-
     # materialized: the threshold count and the gather/join below both
     # consume it, and a lazy plan would rerun candidates + confirm (and
     # the whole upstream chain) once per consumption
     mask_ds = bucket_fold(
         ds.map_batches(candidates, batch_format="pyarrow"),
-        "_hb", confirm).materialize()
+        "_hb", lambda g: _substring_confirm(g, id_col)).materialize()
     # pos=-1 rows are per-block "no masks" sentinels, not mask rows
     if mask_ds.filter(expr="pos >= 0").count() > max_broadcast_masks:
         return _substring_rebuild_joined(ds, mask_ds, k, text_col, id_col,

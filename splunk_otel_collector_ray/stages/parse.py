@@ -18,10 +18,12 @@ chains (citations into /root/reference):
 
 Hot path is Arrow-native: classification and field extraction run through
 pyarrow.compute's RE2 kernels (`match_substring_regex`, `extract_regex`) on
-the zero-copy `text` column — no Python-level regex loop; only timestamp
-strptime and the tiny severity dictionary map go through pandas. The
-attributes open-map is materialized as a real Arrow `map<string,string>`
-column built from flat offset/key/value arrays.
+the zero-copy `text` column — no Python-level regex loop. Each family only
+records (row idx, Arrow values); body, severity (int8 level codes) and the
+attributes open-map (a real Arrow `map<string,string>` built by takes from
+flat offsets) are each assembled once per batch. Timestamps are sliced and
+parsed by Arrow kernels; only rows a fast path cannot prove equal go
+through pandas' strptime.
 
 Deployment shapes: plain function stage via ``ParseStage.as_fn()`` (fuses with
 read and downstream task stages; state cached per worker process) or an actor
@@ -41,6 +43,8 @@ Output schema (FIXTURES.md §2):
 """
 
 from __future__ import annotations
+
+import binascii
 
 import numpy as np
 import pandas as pd
@@ -167,6 +171,25 @@ RX = {
         r'(?P<code>\d+) (?P<size>\d+)$'),
 }
 
+# one-pass twins of the two NCSA patterns: each group is a class without
+# its closing delimiter, so RE2 never backtracks (the shipped `.+` groups
+# make it: ~15 µs/row against ~2.5 µs for the twin). A twin's groups are
+# used only where the line holds exactly one '[', one ']' and the pattern's
+# count of '"', and the twin matched. There, no shipped `.+` group can hold
+# one of those delimiters, so every group is bounded by a fixed delimiter,
+# and the twin's space-free classes are the only valid split. Every other
+# row runs the shipped pattern. '\n' is excluded from every class because
+# RE2's `.` never matches it.
+_NCSA_TWIN_HEAD = (
+    r'^(?P<host>[^ \n]+) (?P<remote_logname>[^ \n]+) (?P<user>[^ \n]+) '
+    r'\[(?P<time>[^\]\n]+)\] "(?P<method>[^ \n]+) (?P<path>[^ \n]+) '
+    r'(?P<protocol>[^ "\n]+)" (?P<code>\d+) (?P<size>\d+)')
+NCSA_TWIN: dict[str, tuple[str, int]] = {  # family -> (twin, '"' count)
+    "apache_access": (
+        _NCSA_TWIN_HEAD + r' "(?P<referer>[^"\n]+)" "(?P<agent>[^"\n]+)"$', 6),
+    "ncsa_common": (_NCSA_TWIN_HEAD + "$", 2),
+}
+
 # data-driven parse plans for the round-2 families: (ts pandas format,
 # tz-aware, strip-from-time, severity table, lower severity token, body group)
 SIMPLE_FAMILY: dict[str, tuple] = {
@@ -245,16 +268,40 @@ _MONTH_NUM = {m: f"{i:02d}" for i, m in enumerate(
 # for anything the slicing mis-reads (e.g. space-padded days)
 _FAST_LAYOUTS = {
     "%d/%b/%Y:%H:%M:%S %z", "%a %b %d %H:%M:%S %Y",
-    "%d %b %Y %H:%M:%S.%f", "%d-%b-%Y %H:%M:%S",
+    "%d %b %Y %H:%M:%S.%f", "%d-%b-%Y %H:%M:%S", "%Y %b %d %H:%M:%S",
+    "%Y-%m-%dT%H:%M:%S.%f%z",
 }
+
+# the one shape of the syslog layout (year pinned in front) that is sliced;
+# every other string keeps pandas' own strptime, whose %b/%d/%H accept more
+_SYSLOG_SHAPE = (r"^[0-9]{4} [A-Z][a-z]{2} [ 0-9][0-9] "
+                 r"[0-9]{2}:[0-9]{2}:[0-5][0-9]$")
+# likewise for mongodb's ISO layout: milliseconds and a ±HH:MM offset
+_MONGODB_SHAPE = (r"^[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):"
+                  r"[0-5][0-9]:[0-5][0-9]\.[0-9]{3}[+-](?:[01][0-9]|2[0-3]):"
+                  r"[0-5][0-9]$")
 
 
 _MONTH_NAMES_ARR = pa.array(list(_MONTH_NUM))
 _MONTH_NUMS_ARR = pa.array(list(_MONTH_NUM.values()))
 
+# the datetime64[ns] span less a day (room for zone offsets and fractions):
+# a kernel-parsed time outside it would overflow the ns cast, so it is
+# nulled and left to pandas' strptime, which coerces what ns cannot hold
+_NS_SPAN = (pa.scalar(pd.Timestamp.min + pd.Timedelta(days=1),
+                      type=pa.timestamp("us")),
+            pa.scalar(pd.Timestamp.max - pd.Timedelta(days=1),
+                      type=pa.timestamp("us")))
+_NS_MAX_S = pd.Timestamp.max.value // 10**9  # last whole epoch second
+
+
+def _ns_safe(ts: pa.Array) -> pa.Array:
+    return pc.if_else(pc.and_(pc.greater_equal(ts, _NS_SPAN[0]),
+                              pc.less_equal(ts, _NS_SPAN[1])), ts, None)
+
 
 def _fast_strptime(raw, layout: str) -> pd.Series:
-    """Fast vectorized parse for the %b-month layouts; returns naive-UTC.
+    """Fast vectorized parse for the ``_FAST_LAYOUTS``; returns naive-UTC.
 
     Arrow-kernel path (utf8 slices + dictionary month map + null-joining
     concat + ``pc.strptime(error_is_null=True)`` — no per-row Python, r5)
@@ -288,40 +335,88 @@ def _fast_strptime_arrow(arr: pa.Array, layout: str) -> pd.Series:
         ymd = pc.binary_join_element_wise(y, m, d, "-")
         return pc.binary_join_element_wise(ymd, hms, " ")
 
-    def parse(iso: pa.Array) -> pd.Series:
-        return pc.strptime(iso, format="%Y-%m-%d %H:%M:%S", unit="us",
-                           error_is_null=True).to_pandas() \
-            .astype("datetime64[ns]")  # match the historical pandas dtype
+    def parse(iso: pa.Array) -> pa.Array:
+        ts = pc.strptime(iso, format="%Y-%m-%d %H:%M:%S", unit="us",
+                         error_is_null=True)
+        # the kernel rolls an out-of-range day over (30 Feb → 2 Mar); null
+        # it so the row drops to real strptime, which rejects it
+        day = pc.utf8_lpad(pc.cast(pc.day(ts), pa.string()), 2, "0")
+        return _ns_safe(pc.if_else(
+            pc.equal(day, pc.utf8_slice_codeunits(iso, 8, 10)), ts, None))
 
     def num(piece: pa.Array) -> np.ndarray:  # "" → 0; garbage raises →
         z = pc.if_else(pc.equal(piece, ""), "0", piece)  # pandas fallback
         return pc.cast(z, pa.int64()).to_numpy(zero_copy_only=False)
 
     if layout == "%d/%b/%Y:%H:%M:%S %z":
-        out = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
-        sign = np.where(_np(pc.equal(sl(21, 22), "-")), -1, 1)
-        mins = num(sl(22, 24)) * 60 + num(sl(24, 26))
-        out = out - pd.to_timedelta(sign * mins, unit="m")
+        ts = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
+        sign = np.where(_np(pc.equal(sl(21, 22), "-")), 1, -1)
+        delta = pd.to_timedelta(
+            sign * (num(sl(22, 24)) * 60 + num(sl(24, 26))), unit="m")
     elif layout == "%a %b %d %H:%M:%S %Y":
-        out = parse(iso_of(sl(20, 24), mon(4, 7), sl(8, 10), sl(11, 19)))
+        ts = parse(iso_of(sl(20, 24), mon(4, 7), sl(8, 10), sl(11, 19)))
+        delta = None
     elif layout == "%d %b %Y %H:%M:%S.%f":
-        out = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
+        ts = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
         frac = pc.utf8_rpad(sl(21, 27), 6, "0")  # ".%f" → exact µs
-        out = out + pd.to_timedelta(num(frac), unit="us")
+        delta = pd.to_timedelta(num(frac), unit="us")
     elif layout == "%d-%b-%Y %H:%M:%S":
-        out = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
+        ts = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
+        delta = None
+    elif layout == "%Y %b %d %H:%M:%S":
+        iso = iso_of(sl(0, 4), mon(5, 8),
+                     pc.replace_substring(sl(9, 11), " ", "0"), sl(12, 20))
+        ts = parse(pc.if_else(pc.match_substring_regex(s, _SYSLOG_SHAPE),
+                              iso, None))
+        delta = None
+    elif layout == "%Y-%m-%dT%H:%M:%S.%f%z":
+        shaped = pc.match_substring_regex(s, _MONGODB_SHAPE)
+        ts = parse(pc.if_else(shaped, pc.binary_join_element_wise(
+            sl(0, 10), sl(11, 19), " "), None))
+        z = pc.if_else(shaped, s, "0000-00-00T00:00:00.000+00:00")
+
+        def zn(a: int, b: int) -> np.ndarray:
+            return num(pc.utf8_slice_codeunits(z, a, b))
+
+        sign = np.where(_np(pc.equal(pc.utf8_slice_codeunits(z, 23, 24),
+                                     "-")), 1, -1)
+        delta = pd.to_timedelta(
+            zn(20, 23) * 1000
+            + sign * (zn(24, 26) * 60 + zn(27, 29)) * 60_000_000, unit="us")
     else:  # pragma: no cover - guarded by _FAST_LAYOUTS
         raise ValueError(layout)
 
-    svals = pd.Series(_np(s), dtype=object)
-    bad = out.isna() & (svals != "")
-    if bad.any():  # slicing mis-read (non-padded day etc.) → real strptime
-        slow = pd.to_datetime(svals[bad], format=layout, errors="coerce",
+    out = ts.to_pandas().astype("datetime64[ns]")  # the historical dtype
+    if delta is not None:  # zone offset / fraction, exact integer µs
+        out = out + delta
+    bad = pc.and_(pc.is_null(ts), pc.not_equal(s, ""))
+    if pc.any(bad).as_py():  # slicing mis-read (non-padded day etc.)
+        slow = pd.to_datetime(pd.Series(_np(s.filter(bad)), dtype=object),
+                              format=layout, errors="coerce",
                               utc="%z" in layout)
         if getattr(slow.dt, "tz", None) is not None:
             slow = slow.dt.tz_convert("UTC").dt.tz_localize(None)
         out = out.copy()
-        out[bad] = slow
+        out[_np(bad)] = slow.to_numpy()
+    return out
+
+
+def _epoch_seconds(digits: pa.Array) -> pd.Series:
+    """Epoch-seconds digit strings → naive UTC, equal to
+    ``pd.to_datetime(pd.to_numeric(s, errors="coerce"), unit="s",
+    errors="coerce")``. Up to 10 digits are cast in Arrow (past
+    datetime64[ns]'s last second → NaT, as pandas coerces); longer strings
+    (leading zeros, overflow) keep that pandas path."""
+    short = pc.fill_null(pc.less_equal(pc.utf8_length(digits), 10), False)
+    secs = pc.cast(pc.if_else(short, digits, None), pa.int64())
+    secs = pc.if_else(pc.less_equal(secs, _NS_MAX_S), secs, None)
+    out = pd.Series(_np(pc.cast(pc.multiply(secs, 1_000_000),
+                                pa.timestamp("us"))).astype("datetime64[ns]"))
+    long = pc.and_(pc.is_valid(digits), pc.invert(short))
+    if pc.any(long).as_py():
+        out[_np(long)] = pd.to_datetime(pd.to_numeric(
+            pd.Series(_np(digits.filter(long)), dtype=object),
+            errors="coerce"), unit="s", errors="coerce").to_numpy()
     return out
 
 
@@ -383,14 +478,20 @@ def _numeric_strptime_arrow(arr: pa.Array, fmt: str) -> pd.Series:
     elif z_req:
         bad = ~_np(pc.ends_with(full, "Z"))
         s = pc.utf8_slice_codeunits(full, 0, _rendered_len(base))
-    out = pc.strptime(s, format=base, unit="us",
-                      error_is_null=True).to_pandas() \
-        .astype("datetime64[ns]")
+    ts = pc.strptime(s, format=base, unit="us", error_is_null=True)
+    safe = _ns_safe(ts)
+    out = safe.to_pandas().astype("datetime64[ns]")
     if frac_sub is not None:
         out = out + pd.to_timedelta(frac_sub, unit=sub_unit)
     if bad is not None and bad.any():
         out = out.copy()
         out[bad] = pd.NaT
+    far = pc.and_(pc.is_valid(ts), pc.is_null(safe))
+    if pc.any(far).as_py():  # pandas' own parse, NaT where ns overflows
+        out = out.copy()
+        out[_np(far)] = pd.to_datetime(
+            pd.Series(_np(full.filter(far)), dtype=object), format=fmt,
+            errors="coerce").to_numpy()
     return out
 
 
@@ -422,6 +523,11 @@ def _fast_strptime_pandas(s: pd.Series, layout: str) -> pd.Series:
         iso = (s.str.slice(7, 11) + "-" + mon(3, 6) + "-" + s.str.slice(0, 2)
                + " " + s.str.slice(12, 20))
         out = pd.to_datetime(iso, format="%Y-%m-%d %H:%M:%S", errors="coerce")
+    elif layout == "%Y %b %d %H:%M:%S":  # syslog: pandas' strptime itself
+        out = pd.to_datetime(s, format=layout, errors="coerce")
+    elif layout == "%Y-%m-%dT%H:%M:%S.%f%z":  # mongodb: likewise, to UTC
+        out = pd.to_datetime(s, format=layout, errors="coerce",
+                             utc=True).dt.tz_localize(None)
     else:  # pragma: no cover - guarded by _FAST_LAYOUTS
         raise ValueError(layout)
 
@@ -434,6 +540,62 @@ def _fast_strptime_pandas(s: pd.Series, layout: str) -> pd.Series:
         out = out.copy()
         out[bad] = slow
     return out
+
+
+# severity as int8 codes into one level list; code 0 is unset ("", 0)
+_LEVEL_NAMES = ["", *SEVERITY_NUMBER]
+_LEVEL_TEXT = pa.array(_LEVEL_NAMES, type=pa.string())
+_LEVEL_NUMBER = pa.array([0, *SEVERITY_NUMBER.values()], type=pa.int8())
+
+
+def _level_codes(tokens: pa.Array, table: dict[str, str]) -> np.ndarray:
+    """Level codes of raw severity tokens under a mapping table (stanza
+    ``severity`` sub-parser); unknown and null tokens → 0 (unset)."""
+    keys = pa.array(list(table), type=tokens.type)
+    lvl = pa.array([_LEVEL_NAMES.index(v) for v in table.values()],
+                   type=pa.int8())
+    return _np(pc.fill_null(
+        pc.take(lvl, pc.index_in(tokens, value_set=keys)), 0))
+
+
+def _scatter(base: pa.Array, parts: list[tuple[np.ndarray, pa.Array]]
+             ) -> pa.Array:
+    """``base`` with each part's values put at its row idx: one
+    ``replace_with_mask`` over the idx-sorted concatenation of the parts."""
+    if not parts:
+        return base
+    idx = np.concatenate([i for i, _ in parts])
+    vals = pa.concat_arrays([v for _, v in parts]).take(
+        pa.array(np.argsort(idx, kind="stable")))
+    mask = np.zeros(len(base), dtype=bool)
+    mask[idx] = True
+    return pc.replace_with_mask(base, pa.array(mask), vals)
+
+
+def _span_ids(batch: pa.Table) -> pa.Array:
+    """Deterministic tool-call span ids (FIXTURES.md §2): surrogate for the
+    collector's trace/span context on tool-call turns, "" elsewhere; raw
+    line sources (sources/filelog) carry no transcript columns → no spans.
+    The ids are ``016x`` of conv number × 100000 + turn_idx; one hexlify of
+    the big-endian u64s is the string array's data buffer as is."""
+    n = batch.num_rows
+    has_span = np.zeros(n, dtype=bool)
+    if {"role", "tool", "conv_id", "turn_idx"} <= set(batch.column_names):
+        has_span = _np(pc.fill_null(pc.and_(
+            pc.equal(batch.column("role"), "tool"),
+            pc.not_equal(batch.column("tool"), "")), False))
+    hexes = b""
+    if has_span.any():
+        sidx = pa.array(np.flatnonzero(has_span))
+        conv = pc.cast(pc.utf8_slice_codeunits(
+            batch.column("conv_id").take(sidx), 5, 32), pa.int64())
+        turn = _np(batch.column("turn_idx").take(sidx)).astype(np.int64)
+        raw = _np(conv) * 100_000 + turn
+        hexes = binascii.hexlify(raw.astype(">u8").tobytes())
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    offsets[1:] = np.cumsum(has_span, dtype=np.int32) * 16
+    return pa.StringArray.from_buffers(
+        n, pa.py_buffer(offsets), pa.py_buffer(hexes))
 
 
 class ParseStage:
@@ -474,6 +636,27 @@ class ParseStage:
         codes[codes < 0] = len(names)
         return codes.astype(np.int8), [*names, "plain"]
 
+    def extract(self, family: str, sub: pa.Array) -> dict[str, pa.Array]:
+        """``_fields(extract_regex(sub, rx[family]))``. The NCSA families
+        take their one-pass twin's groups on guarded rows (see
+        ``NCSA_TWIN``) and run the shipped pattern only on the rest."""
+        if family not in NCSA_TWIN:
+            return self._fields(pc.extract_regex(sub, self.rx[family]))
+        twin, quotes = NCSA_TWIN[family]
+        st = pc.extract_regex(sub, twin)
+        rest = ~(_np(pc.is_valid(st))
+                 & (_np(pc.count_substring(sub, "[")) == 1)
+                 & (_np(pc.count_substring(sub, "]")) == 1)
+                 & (_np(pc.count_substring(sub, '"')) == quotes))
+        out = {fld.name: st.field(fld.name) for fld in st.type}
+        if not rest.any():
+            return out
+        mask = pa.array(rest)
+        shipped = self._fields(
+            pc.extract_regex(sub.filter(mask), self.rx[family]))
+        return {k: pc.replace_with_mask(v, mask, shipped[k])
+                for k, v in out.items()}
+
     # -- the batch transform ----------------------------------------------
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -486,11 +669,12 @@ class ParseStage:
         ts_in_np = _np(batch.column("ts")).astype("datetime64[us]")
         codes, names = self.classify(text)
 
-        body = text  # default: raw line — stays Arrow end to end
-        sev_text = np.full(n, "", dtype=object)
-        sev_num = np.zeros(n, dtype=np.int8)
+        # each family only records (row idx, Arrow values); every output
+        # column is assembled once, after the loop
         ts_out = ts_in_np.copy()
-        attr_vals: dict[str, dict[str, np.ndarray]] = {}
+        sev_code = np.zeros(n, dtype=np.int8)  # index into _LEVEL_TEXT
+        bodies: list[tuple[np.ndarray, pa.Array]] = []
+        attrs: list[tuple[np.ndarray, list[str], list[pa.Array]]] = []
 
         def put_ts(idx: np.ndarray, parsed: pd.Series) -> None:
             v = parsed.to_numpy()
@@ -498,42 +682,33 @@ class ParseStage:
             ok = ~pd.isna(v)
             ts_out[idx[ok]] = v[ok]  # failures keep observed-time fallback
 
-        def put_body(mask: np.ndarray, sub: pa.Array, vals: pa.Array) -> None:
-            # null extraction (parse failure) keeps the raw line — coalesce,
-            # then scatter into body via Arrow's replace_with_mask (no Python
-            # string objects are materialized)
-            nonlocal body
-            body = pc.replace_with_mask(
-                body, pa.array(mask), pc.coalesce(vals, sub))
+        def put_body(idx: np.ndarray, sub: pa.Array, vals: pa.Array) -> None:
+            # null extraction (parse failure) keeps the raw line
+            bodies.append((idx, pc.coalesce(vals, sub)))
 
         def put_sev(idx: np.ndarray, tokens: pa.Array, table: dict) -> None:
-            s = pd.Series(_np(tokens).astype(object)).map(table).fillna("")
-            sev_text[idx] = s.to_numpy()
-            sev_num[idx] = s.map(SEVERITY_NUMBER).fillna(0).astype(np.int8)
+            sev_code[idx] = _level_codes(tokens, table)
 
         def attrs_of(family: str, fields, idx) -> None:
             keys = FAMILY_ATTR_KEYS[family]
-            if not keys:
-                return
-            out = {}
-            for out_key in keys:
-                fname = "role" if out_key == "redis_role" else out_key
-                v = _np(fields[fname]).astype(object)
-                out[out_key] = np.where(pd.isna(v), "", v)
-            attr_vals[family] = out
+            if keys:
+                attrs.append((idx, keys, [pc.fill_null(
+                    fields["role" if k == "redis_role" else k], "")
+                    for k in keys]))
 
+        order = np.argsort(codes, kind="stable")  # rows grouped by family
+        counts = np.bincount(codes, minlength=len(names))
+        ends = np.cumsum(counts)
         for fam_code, family in enumerate(names):
             if family == "plain" or family not in self.rx:
                 # raw-passthrough families (memcached, mysql_slow, java_stack)
                 # have no operator chain: body = line, no ts/severity
                 continue
-            mask = codes == fam_code
-            idx = np.flatnonzero(mask)
-            if not len(idx):
+            if not counts[fam_code]:
                 continue
+            idx = order[ends[fam_code] - counts[fam_code]:ends[fam_code]]
             sub = text.take(pa.array(idx, type=pa.int64()))
-            st = pc.extract_regex(sub, self.rx[family])
-            f = self._fields(st)
+            f = self.extract(family, sub)
 
             if family == "apache_access":
                 put_ts(idx, _fast_strptime(
@@ -543,105 +718,70 @@ class ParseStage:
                 put_ts(idx, _fast_strptime(
                     f["time"], "%a %b %d %H:%M:%S %Y"))
                 put_sev(idx, f["level"], APACHE_ERROR_LEVELS)
-                put_body(mask, sub, f["log"])
+                put_body(idx, sub, f["log"])
                 attrs_of(family, f, idx)
             elif family == "syslog":
                 # no year in the layout (%b %e %H:%M:%S) — stanza infers the
                 # current year; we pin it to the observed (input) ts year
                 years = ts_in_np[idx].astype("datetime64[Y]").astype(int) + 1970
-                withyear = pd.Series(years.astype(str)) + " " + pd.Series(
-                    _np(f["time"]).astype(object)).fillna("")
-                put_ts(idx, pd.to_datetime(
-                    withyear, format="%Y %b %d %H:%M:%S", errors="coerce"))
-                put_body(mask, sub, f["log"])
+                put_ts(idx, _fast_strptime(pc.binary_join_element_wise(
+                    pc.cast(pa.array(years), pa.string()),
+                    pc.fill_null(f["time"], ""), " "), "%Y %b %d %H:%M:%S"))
+                put_body(idx, sub, f["log"])
                 attrs_of(family, f, idx)
             elif family == "docker":
                 put_ts(idx, _numeric_strptime(
                     f["time"], "%Y-%m-%dT%H:%M:%S.%fZ"))
-                put_body(mask, sub, pc.replace_substring(f["log"], "\\n", "\n"))
+                put_body(idx, sub, pc.replace_substring(f["log"], "\\n", "\n"))
                 attrs_of(family, f, idx)
             elif family == "redis_server":
                 put_ts(idx, _fast_strptime(
                     f["time"], "%d %b %Y %H:%M:%S.%f"))
                 put_sev(idx, f["level"], REDIS_LEVELS)
-                put_body(mask, sub, f["log"])
+                put_body(idx, sub, f["log"])
                 attrs_of(family, f, idx)
             elif family == "redis_handler":
                 # layout_type: epoch, layout: s (logs_config_linux.yaml:503-506)
-                put_ts(idx, pd.to_datetime(pd.to_numeric(
-                    pd.Series(_np(f["time"]).astype(object)), errors="coerce"),
-                    unit="s", errors="coerce"))
-                put_body(mask, sub, f["log"])
+                put_ts(idx, _epoch_seconds(f["time"]))
+                put_body(idx, sub, f["log"])
                 attrs_of(family, f, idx)
             elif family == "mongodb":
                 # layout '%Y-%m-%dT%H:%M:%S.%L%z' (logs_config_linux.yaml:280)
-                put_ts(idx, pd.to_datetime(
-                    _np(f["time"]), format="%Y-%m-%dT%H:%M:%S.%f%z",
-                    errors="coerce", utc=True).tz_localize(None))
+                put_ts(idx, _fast_strptime(
+                    f["time"], "%Y-%m-%dT%H:%M:%S.%f%z"))
                 put_sev(idx, f["level"], MONGODB_LEVELS)
-                put_body(mask, sub, f["log"])
+                put_body(idx, sub, f["log"])
                 attrs_of(family, f, idx)
             elif family == "etcd":
                 put_ts(idx, _numeric_strptime(
                     f["time"], "%Y-%m-%d %H:%M:%S"))
                 put_sev(idx, f["level"], ETCD_LEVELS)
-                put_body(mask, sub, f["log"])
+                put_body(idx, sub, f["log"])
             elif family == "json_level":
                 put_sev(idx, f["level"], JSON_LEVEL_MAP)
                 # transform deletes Level/message/time; body stays raw line
             elif family == "pii":
                 # regex_parser parse_to body.parsed + add body
                 # EXPR(before + "XXX-XXX-XXXX" + after)
-                put_body(mask, sub, pc.binary_join_element_wise(
+                put_body(idx, sub, pc.binary_join_element_wise(
                     f["before"], f["after"], "XXX-XXX-XXXX"))
             elif family in SIMPLE_FAMILY:
-                ts_fmt, tz, strip, sev_table, sev_lower, body_grp = \
+                ts_fmt, _, strip, sev_table, sev_lower, body_grp = \
                     SIMPLE_FAMILY[family]
                 tarr = f["time"]
                 if strip:
                     tarr = pc.replace_substring(tarr, strip, "")
-                if ts_fmt in _FAST_LAYOUTS:
-                    parsed = _fast_strptime(tarr, ts_fmt)
-                elif not tz:  # fixed-width numeric layout → Arrow kernels
-                    parsed = _numeric_strptime(tarr, ts_fmt)
-                else:
-                    parsed = pd.to_datetime(
-                        _np(tarr), format=ts_fmt, errors="coerce", utc=tz)
-                    parsed = parsed.tz_localize(None)
-                put_ts(idx, parsed)
+                # the tz-aware layouts are all fast layouts; the rest are
+                # fixed-width numeric → Arrow kernels
+                put_ts(idx, _fast_strptime(tarr, ts_fmt)
+                       if ts_fmt in _FAST_LAYOUTS
+                       else _numeric_strptime(tarr, ts_fmt))
                 if sev_table is not None:
                     tok = pc.utf8_lower(f["level"]) if sev_lower else f["level"]
                     put_sev(idx, tok, sev_table)
                 if body_grp is not None:
-                    put_body(mask, sub, f[body_grp])
+                    put_body(idx, sub, f[body_grp])
                 attrs_of(family, f, idx)
-
-        # deterministic tool-call span ids (FIXTURES.md §2): surrogate for the
-        # collector's trace/span context on tool-call turns; raw line sources
-        # (sources/filelog) carry no transcript columns → no spans
-        span_id = np.full(n, "", dtype=object)
-        has_transcript_cols = {"role", "tool", "conv_id",
-                               "turn_idx"} <= set(batch.column_names)
-        if has_transcript_cols:
-            role = batch.column("role")
-            tool = batch.column("tool")
-            has_span = _np(pc.and_(pc.equal(role, "tool"),
-                                   pc.not_equal(tool, "")))
-        if has_transcript_cols and has_span.any():
-            import binascii
-
-            sidx = np.flatnonzero(has_span)
-            conv_sub = pc.cast(pc.utf8_slice_codeunits(
-                batch.column("conv_id").take(pa.array(sidx)), 5, 32), pa.int64())
-            turn_sub = _np(batch.column("turn_idx").take(pa.array(sidx))).astype(
-                np.int64)
-            raw = _np(conv_sub) * 100_000 + turn_sub
-            # vectorized 016x: big-endian u64 bytes → one hexlify → S16 view
-            hexes = binascii.hexlify(raw.astype(">u8").tobytes())
-            span_id[sidx] = np.frombuffer(hexes, dtype="S16").astype("U16")
-
-        fam_names = np.asarray(names, dtype=object)
-        attributes = self._build_map(codes, fam_names, attr_vals, n)
 
         # passthrough-preserving output: keep every input column except the
         # consumed `text` and the replaced `ts` (original ts → observed_ts),
@@ -654,11 +794,12 @@ class ParseStage:
         # a C-level string build, no per-row Python objects
         cols["log_format"] = pc.take(
             pa.array(names, type=pa.string()), pa.array(codes, type=pa.int8()))
-        cols["body"] = body
-        cols["severity_text"] = pa.array(sev_text, type=pa.string())
-        cols["severity_number"] = pa.array(sev_num, type=pa.int8())
-        cols["attributes"] = attributes
-        cols["span_id"] = pa.array(span_id, type=pa.string())
+        cols["body"] = _scatter(text, bodies)
+        codes_arr = pa.array(sev_code, type=pa.int8())
+        cols["severity_text"] = pc.take(_LEVEL_TEXT, codes_arr)
+        cols["severity_number"] = pc.take(_LEVEL_NUMBER, codes_arr)
+        cols["attributes"] = self._build_map(n, attrs)
+        cols["span_id"] = _span_ids(batch)
         return pa.table(cols)
 
     # per-worker-process singleton so the compiled chain can run as a plain
@@ -714,27 +855,31 @@ class ParseStage:
 
     @staticmethod
     def _build_map(
-        codes: np.ndarray, fam_names: np.ndarray,
-        attr_vals: dict[str, dict[str, np.ndarray]], n: int
+        n: int, attrs: list[tuple[np.ndarray, list[str], list[pa.Array]]]
     ) -> pa.Array:
-        """Build map<string,string> from per-family flat arrays, no row loop."""
-        code_of = {name: i for i, name in enumerate(fam_names)}
-        counts = np.zeros(n, dtype=np.int64)
-        for name, vals in attr_vals.items():
-            counts[codes == code_of[name]] = len(vals)
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        """map<string,string> from per-family (row idx, keys, value columns):
+        offsets from the per-row key counts, then one Arrow take each for the
+        flat keys and the flat values — no row loop, no object arrays."""
+        counts = np.zeros(n, dtype=np.int32)
+        for idx, keys, _ in attrs:
+            counts[idx] = len(keys)
+        offsets = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        keys_flat = np.empty(total, dtype=object)
-        vals_flat = np.empty(total, dtype=object)
-        for name, vals in attr_vals.items():
-            idx = np.flatnonzero(codes == code_of[name])
-            starts = offsets[idx]
-            for j, k in enumerate(vals):
-                keys_flat[starts + j] = k
-                vals_flat[starts + j] = vals[k]
+        key_at = np.empty(offsets[-1], dtype=np.int32)  # into key_names
+        val_at = np.empty(offsets[-1], dtype=np.int64)  # into concat(cols)
+        key_names: list[str] = []
+        values: list[pa.Array] = []
+        for idx, keys, cols in attrs:
+            k, m = len(keys), len(idx)
+            slot = offsets[idx][:, None] + np.arange(k)  # (m, k) flat slots
+            key_at[slot] = len(key_names) + np.arange(k)
+            val_at[slot] = (sum(map(len, values)) + np.arange(k) * m
+                            + np.arange(m)[:, None])
+            key_names += keys
+            values += cols
+        vals = pa.concat_arrays(values) if values else pa.array([], pa.string())
         return pa.MapArray.from_arrays(
-            pa.array(offsets, type=pa.int32()),
-            pa.array(keys_flat, type=pa.string()),
-            pa.array(vals_flat, type=pa.string()),
+            pa.array(offsets),
+            pc.take(pa.array(key_names, type=pa.string()), pa.array(key_at)),
+            pc.take(vals.cast(pa.string()), pa.array(val_at)),
         )

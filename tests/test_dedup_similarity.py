@@ -707,6 +707,27 @@ def test_semdedup_kmeans_cluster_source(ray_session):
     assert out["keep"].any()
 
 
+def test_substring_confirm_empty_group():
+    """The string-confirm fold on an EMPTY group (a 0-row block, if Ray
+    ever stops skipping UDFs on empties) returns a typed 0-row mask, not a
+    0-id / 1-pos sentinel that pandas rejects with ValueError."""
+    from splunk_otel_collector_ray.stages.dedup import _substring_confirm
+
+    g = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                      "pos": pd.Series([], dtype=np.int64),
+                      "gram": pd.Series([], dtype=object),
+                      "_hb": pd.Series([], dtype=np.int32)})
+    out = _substring_confirm(g, "doc_id")
+    assert list(out.columns) == ["doc_id", "pos", "is_canon"]
+    assert len(out) == 0
+    assert out["pos"].dtype == np.int64 and out["is_canon"].dtype == bool
+    # a sentinel-only group still yields the single pos=-1 row
+    one = _substring_confirm(pd.DataFrame(
+        {"doc_id": [7], "pos": [-1], "gram": [""], "_hb": [0]}), "doc_id")
+    assert one.to_dict("list") == {"doc_id": [7], "pos": [-1],
+                                   "is_canon": [True]}
+
+
 def test_substring_dedup_exact_semantics(ray_session):
     """Hand-built corpus pinning the ExactSubstr span-dedup contract
     (Lee et al. 2021): dup-covered tokens drop except the window set's

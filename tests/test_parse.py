@@ -294,8 +294,9 @@ def test_numeric_strptime_matches_pandas_coerce():
     """The Arrow numeric-layout strptime must be bit-equal to
     pd.to_datetime(format=..., errors='coerce') — including the
     reject-on-trailing-garbage rule, variable 1-6 digit fractions,
-    pandas' 1-9-digit ns fast-path for the trailing-Z layout, and
-    empty/null/garbage rows."""
+    pandas' 1-9-digit ns fast-path for the trailing-Z layout,
+    empty/null/garbage rows, and years at and past datetime64[ns]'s ends
+    (NaT, not an overflow)."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -305,7 +306,9 @@ def test_numeric_strptime_matches_pandas_coerce():
     cases = {
         "%Y-%m-%d %H:%M:%S": [
             "2026-01-05 13:04:05", "2026-1-5 13:04:05", "", None,
-            "2026-01-05 13:04:05 extra", "garbage", "2026-13-40 99:99:99"],
+            "2026-01-05 13:04:05 extra", "garbage", "2026-13-40 99:99:99",
+            "2262-04-11 23:47:16", "2262-04-12 00:00:00",
+            "1677-09-21 00:12:44", "9999-01-05 13:04:05"],
         "%Y/%m/%d %H:%M:%S": ["2026/01/05 13:04:05", "", None, "x"],
         "%y%m%d %H:%M:%S": ["260105 13:04:05", "", None, "26010 13:04:05"],
         "%Y-%m-%d %H:%M:%S.%f": [
@@ -319,7 +322,8 @@ def test_numeric_strptime_matches_pandas_coerce():
             "2026-01-05T13:04:05.Z", "", None, "junk",
             "2026-01-05T13:04:05.1234567Z",
             "2026-01-05T13:04:05.123456789Z",
-            "2026-01-05T13:04:05.1234567890Z", "2026-01-05T13:04:05Z"],
+            "2026-01-05T13:04:05.1234567890Z", "2026-01-05T13:04:05Z",
+            "9999-01-05T13:04:05.123Z"],
     }
     for fmt, vals in cases.items():
         raw = pd.Series(np.array(vals, dtype=object),
@@ -333,7 +337,10 @@ def test_numeric_strptime_matches_pandas_coerce():
 
 def test_fast_strptime_matches_pandas_construction():
     """The Arrow %b-month fast path must equal the historical pandas
-    slice construction on padded, non-padded, empty, null and garbage."""
+    slice construction on padded, non-padded, empty, null and garbage,
+    on days the month lacks (which the kernel would roll over), on years
+    past datetime64[ns], and — for syslog's year-pinned layout — on
+    everything pandas' own strptime accepts beyond the sliced shape."""
     import numpy as np
     import pandas as pd
 
@@ -344,15 +351,31 @@ def test_fast_strptime_matches_pandas_construction():
         "%d/%b/%Y:%H:%M:%S %z": [
             "01/Jan/2026:00:00:01 +0000", "15/Mar/2026:23:59:59 -0530",
             "1/Jan/2026:00:00:01 +0000", "", "garbage", None,
-            "31/Dec/2025:12:00:00 +1400"],
+            "31/Dec/2025:12:00:00 +1400", "30/Feb/2026:00:00:00 +0000",
+            "29/Feb/2024:00:00:00 +0000", "01/Jan/9999:00:00:00 +0000"],
         "%a %b %d %H:%M:%S %Y": [
             "Mon Jan 05 13:04:05 2026", "Tue Feb 17 00:00:00 2026",
-            "Mon Jan  5 13:04:05 2026", "", None, "xx"],
+            "Mon Jan  5 13:04:05 2026", "", None, "xx",
+            "Mon Apr 31 13:04:05 2026"],
         "%d %b %Y %H:%M:%S.%f": [
             "05 Jan 2026 13:04:05.123", "17 Feb 2026 00:00:00.1",
             "05 Jan 2026 13:04:05.123456", "", None, "junk"],
         "%d-%b-%Y %H:%M:%S": [
             "05-Jan-2026 13:04:05", "17-Feb-2026 00:00:00", "", None, "no"],
+        "%Y %b %d %H:%M:%S": [
+            "2026 Mar 01 06:15:30", "2026 Mar  1 06:15:30",
+            "2026 Mar 1 06:15:30", "2026 mar 01 06:15:30",
+            "2026 Mar 01 06:15:60", "2026 Mar 01 6:15:30",
+            "2026 Feb 29 06:15:30", "2024 Feb 29 06:15:30",
+            "2026 Mar 01 06:15:30 ", "2026 Mar 01", "", None,
+            "3000 Mar 01 06:15:30", "-9223372036854773838 Mar 01 06:15:30"],
+        "%Y-%m-%dT%H:%M:%S.%f%z": [
+            "2026-01-01T00:05:24.021+00:00", "2026-01-01T00:05:24.021-05:30",
+            "2026-01-01T23:59:59.999+14:00", "2026-01-01T00:05:24.021Z",
+            "2026-01-01T00:05:24.021+0000", "2026-01-01T00:05:24.1+00:00",
+            "2026-01-01T00:05:24.021123+00:00", "2026-02-30T00:05:24.021+00:00",
+            "2026-01-01T00:05:60.021+00:00", "2026-01-01T00:05:24.021+24:00",
+            "9999-01-01T00:00:00.000+00:00", "", None, "junk"],
     }
     for layout, vals in cases.items():
         raw = np.array(vals, dtype=object)
@@ -360,3 +383,98 @@ def test_fast_strptime_matches_pandas_construction():
         old = _fast_strptime_pandas(
             pd.Series(raw, dtype=object), layout).reset_index(drop=True)
         assert new.equals(old), layout
+
+
+def test_assembly_edge_cases_interleaved():
+    """One batch, rows of eight families interleaved: every severity
+    table gets an unknown token and a failed extraction (null token), both
+    ("", 0); failed extractions keep the raw body and the observed ts;
+    null attribute values become ""; tool rows carry a span id only when
+    the tool is named."""
+    obs = pd.Timestamp("2026-05-05 12:00:00")
+    at = pd.Timestamp("2026-03-01 06:15:30")
+    rows = [  # (text, role, tool) → (format, sev, num, body, attrs, span, ts)
+        (("[Thu Jun 27 06:58:09 2024] [core:bogus] [pid 10:tid 20] boom",
+          "user", ""),
+         ("apache_error", "", 0, "boom", {"module": "core"}, "",
+          pd.Timestamp("2024-06-27 06:58:09"))),
+        (("2026-03-01 06:15:30 Q | a\nb", "user", ""),
+         ("etcd", "", 0, "2026-03-01 06:15:30 Q | a\nb", {}, "", obs)),
+        (("2026-03-01 06:15:30 - BOGUS [main:Foo@12] - hi", "user", ""),
+         ("zookeeper", "", 0, "hi", {"thread": "main", "class": "Foo"}, "",
+          at)),
+        (('{"Level":oops}', "user", ""),
+         ("json_level", "", 0, '{"Level":oops}', {}, "", obs)),
+        (("12:M 01 Mar 2026 06:15:30.123 ? hello", "user", ""),
+         ("redis_server", "", 0, "hello", {"redis_role": "M"}, "",
+          pd.Timestamp("2026-03-01 06:15:30.123"))),
+        (("Mar 01 06:15:30 web-1 sshd[4321]: session opened", "tool", "bash"),
+         ("syslog", "", 0, "session opened", {"program": "sshd"},
+          "000000000007a152", at)),
+        (('{"t":oops}', "user", ""),
+         ("mongodb", "", 0, '{"t":oops}', {"ctx": ""}, "", obs)),
+        (("[garbage", "user", ""),
+         ("apache_error", "", 0, "[garbage", {"module": ""}, "", obs)),
+        (('{"t":{"$date":"2026-03-01T06:15:30.000+00:00"},"s":"X9",'
+          '"c":"NETWORK","ctx":"conn1","msg":"hi"}', "user", ""),
+         ("mongodb", "", 0, "hi", {"ctx": "conn1"}, "", at)),
+        (("just text", "tool", ""),
+         ("plain", "", 0, "just text", {}, "", obs)),
+        (("2026-03-01 06:15:30 Q | hi", "user", ""),
+         ("etcd", "", 0, "hi", {}, "", at)),
+        (("12:M x", "user", ""),
+         ("redis_server", "", 0, "12:M x", {"redis_role": ""}, "", obs)),
+        (('{"Level":"NOPE","message":"m","time":"t"}', "user", ""),
+         ("json_level", "", 0, '{"Level":"NOPE","message":"m","time":"t"}',
+          {}, "", obs)),
+        (('127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] '
+          '"GET /a.gif HTTP/1.0" 200 2326', "tool", "grep"),
+         ("ncsa_common", "", 0,
+          '127.0.0.1 - frank [10/Oct/2000:13:55:36 -0700] '
+          '"GET /a.gif HTTP/1.0" 200 2326',
+          {"host": "127.0.0.1", "remote_logname": "-", "user": "frank",
+           "method": "GET", "path": "/a.gif", "protocol": "HTTP/1.0",
+           "code": "200", "size": "2326"}, "000000000013d6a2",
+          pd.Timestamp("2000-10-10 20:55:36"))),
+        (("2026-03-01 06:15:30 - INFO [oops", "user", ""),
+         ("zookeeper", "", 0, "2026-03-01 06:15:30 - INFO [oops",
+          {"thread": "", "class": ""}, "", obs)),
+        (("2026-03-01 06:15:30 W | warned", "user", ""),
+         ("etcd", "WARN", 13, "warned", {}, "", at)),
+    ]
+    n = len(rows)
+    t = pa.table({
+        "conv_id": pa.array([f"conv-{i:08d}" for i in range(n)]),
+        "turn_idx": pa.array(np.arange(n, dtype=np.int32) * 10),
+        "role": pa.array([r[0][1] for r in rows]),
+        "tool": pa.array([r[0][2] for r in rows]),
+        "text": pa.array([r[0][0] for r in rows]),
+        "ts": pa.array([obs] * n, type=pa.timestamp("us")),
+    })
+    df = ParseStage()(t).to_pandas()
+    for (_, want), (_, r) in zip(rows, df.iterrows()):
+        got = (r.log_format, r.severity_text, r.severity_number, r.body,
+               dict(r.attributes), r.span_id, r.ts)
+        assert got == want
+
+    empty = ParseStage()(t.slice(0, 0))
+    assert empty.num_rows == 0
+    assert empty.schema.field("severity_number").type == pa.int8()
+    assert empty.schema.field("attributes").type == pa.map_(
+        pa.string(), pa.string())
+    assert empty.schema.field("span_id").type == pa.string()
+
+
+def test_epoch_seconds_matches_pandas_coerce():
+    """redis_handler's epoch layout: the Arrow cast must equal pandas'
+    to_numeric → to_datetime(unit="s") on short, zero-padded, last-ns,
+    overflowing and null digit strings."""
+    from splunk_otel_collector_ray.stages.parse import _epoch_seconds
+
+    vals = ["1767225870", "0", "9223372036", "9223372037", "00000000000001",
+            "12345678901", None]
+    new = _epoch_seconds(pa.array(vals, type=pa.string()))
+    old = pd.to_datetime(pd.to_numeric(pd.Series(np.array(vals, dtype=object)),
+                                       errors="coerce"),
+                         unit="s", errors="coerce")
+    assert new.equals(old)
