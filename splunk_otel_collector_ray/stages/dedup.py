@@ -1316,9 +1316,10 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
             # gram="" sentinel (a real k-token gram always contains k-1
             # separator spaces, so "" is unreachable for the enforced
             # k >= 2): keeps the task output non-empty;
-            # `_substring_confirm` drops it before grouping. A 0-row block (possible if a future Ray
-            # version stops skipping UDFs on empties) has no id value to
-            # reuse — return the typed empty instead of a mismatched row.
+            # `_substring_confirm` drops it before grouping. A 0-row block
+            # (possible if a future Ray version stops skipping UDFs on
+            # empties) has no id value to reuse — return the typed empty
+            # instead of a mismatched row.
             n_sent = min(t.num_rows, 1)
             return pa.table({
                 id_col: t[id_col].slice(0, n_sent),

@@ -191,21 +191,21 @@ NCSA_TWIN: dict[str, tuple[str, int]] = {  # family -> (twin, '"' count)
 }
 
 # data-driven parse plans for the round-2 families: (ts pandas format,
-# tz-aware, strip-from-time, severity table, lower severity token, body group)
+# strip-from-time, severity table, lower severity token, body group)
 SIMPLE_FAMILY: dict[str, tuple] = {
-    "cassandra":  ("%Y-%m-%d %H:%M:%S", False, None, DEFAULT_LEVELS, True, "log"),
-    "jetty9":     ("%Y-%m-%d %H:%M:%S.%f", False, None, DEFAULT_LEVELS, True, "log"),
-    "mysql_error": ("%Y-%m-%d %H:%M:%S", False, None, DEFAULT_LEVELS, True, "log"),
-    "mysql_query": ("%y%m%d %H:%M:%S", False, None, None, False, "log"),
-    "nginx_error": ("%Y/%m/%d %H:%M:%S", False, None, APACHE_ERROR_LEVELS,
+    "cassandra":  ("%Y-%m-%d %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
+    "jetty9":     ("%Y-%m-%d %H:%M:%S.%f", None, DEFAULT_LEVELS, True, "log"),
+    "mysql_error": ("%Y-%m-%d %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
+    "mysql_query": ("%y%m%d %H:%M:%S", None, None, False, "log"),
+    "nginx_error": ("%Y/%m/%d %H:%M:%S", None, APACHE_ERROR_LEVELS,
                     False, "log"),
     # layout '%Y-%m-%d %H:%M:%S.%L %Z' (:426) — the %Z zone name is stripped
     # before the strptime kernel (corpus always stamps UTC)
-    "postgresql": ("%Y-%m-%d %H:%M:%S.%f", False, " UTC", None, False, "log"),
-    "rabbitmq":   ("%Y-%m-%d %H:%M:%S.%f", False, None, DEFAULT_LEVELS, True, "log"),
-    "tomcat":     ("%d-%b-%Y %H:%M:%S", False, None, DEFAULT_LEVELS, True, "log"),
-    "zookeeper":  ("%Y-%m-%d %H:%M:%S", False, None, DEFAULT_LEVELS, True, "log"),
-    "ncsa_common": ("%d/%b/%Y:%H:%M:%S %z", True, None, None, False, None),
+    "postgresql": ("%Y-%m-%d %H:%M:%S.%f", " UTC", None, False, "log"),
+    "rabbitmq":   ("%Y-%m-%d %H:%M:%S.%f", None, DEFAULT_LEVELS, True, "log"),
+    "tomcat":     ("%d-%b-%Y %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
+    "zookeeper":  ("%Y-%m-%d %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
+    "ncsa_common": ("%d/%b/%Y:%H:%M:%S %z", None, None, False, None),
 }
 
 # detection, in router order (first match wins) — stanza router exprs; the
@@ -766,13 +766,13 @@ class ParseStage:
                 put_body(idx, sub, pc.binary_join_element_wise(
                     f["before"], f["after"], "XXX-XXX-XXXX"))
             elif family in SIMPLE_FAMILY:
-                ts_fmt, _, strip, sev_table, sev_lower, body_grp = \
+                ts_fmt, strip, sev_table, sev_lower, body_grp = \
                     SIMPLE_FAMILY[family]
                 tarr = f["time"]
                 if strip:
                     tarr = pc.replace_substring(tarr, strip, "")
-                # the tz-aware layouts are all fast layouts; the rest are
-                # fixed-width numeric → Arrow kernels
+                # the %z layout is a fast layout; the rest are fixed-width
+                # numeric → Arrow kernels
                 put_ts(idx, _fast_strptime(tarr, ts_fmt)
                        if ts_fmt in _FAST_LAYOUTS
                        else _numeric_strptime(tarr, ts_fmt))
@@ -877,7 +877,8 @@ class ParseStage:
                             + np.arange(m)[:, None])
             key_names += keys
             values += cols
-        vals = pa.concat_arrays(values) if values else pa.array([], pa.string())
+        vals = (pa.concat_arrays(values) if values
+                else pa.array([], type=pa.string()))
         return pa.MapArray.from_arrays(
             pa.array(offsets),
             pc.take(pa.array(key_names, type=pa.string()), pa.array(key_at)),

@@ -373,7 +373,8 @@ def test_fast_strptime_matches_pandas_construction():
             "2026-01-01T00:05:24.021+00:00", "2026-01-01T00:05:24.021-05:30",
             "2026-01-01T23:59:59.999+14:00", "2026-01-01T00:05:24.021Z",
             "2026-01-01T00:05:24.021+0000", "2026-01-01T00:05:24.1+00:00",
-            "2026-01-01T00:05:24.021123+00:00", "2026-02-30T00:05:24.021+00:00",
+            "2026-01-01T00:05:24.021123+00:00",
+            "2026-02-30T00:05:24.021+00:00",
             "2026-01-01T00:05:60.021+00:00", "2026-01-01T00:05:24.021+24:00",
             "9999-01-01T00:00:00.000+00:00", "", None, "junk"],
     }
@@ -393,7 +394,8 @@ def test_assembly_edge_cases_interleaved():
     the tool is named."""
     obs = pd.Timestamp("2026-05-05 12:00:00")
     at = pd.Timestamp("2026-03-01 06:15:30")
-    rows = [  # (text, role, tool) → (format, sev, num, body, attrs, span, ts)
+    # (text, role, tool) → (format, sev, num, body, attrs, span, ts)
+    rows = [
         (("[Thu Jun 27 06:58:09 2024] [core:bogus] [pid 10:tid 20] boom",
           "user", ""),
          ("apache_error", "", 0, "boom", {"module": "core"}, "",
