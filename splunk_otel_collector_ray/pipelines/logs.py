@@ -5,12 +5,15 @@ This is the Ray-Data expression of the reference's canonical logs service
 ``filelog* → [memory_limiter, batch] → splunk_hec``, plus the routing-connector
 gateway wiring gateway_config.yaml:163-221):
 
-    read_parquet(transcripts, columns pruned)          # filelog / otlp receive
-      → map_batches(ParseStage,  pyarrow, actor pool)  # stanza operator chain
-      → map_batches(EnrichStage, pyarrow, actor pool)  # resourcedetection/k8s
-      → map_batches(RouteStage,  pyarrow)              # routing connector
-      → write_parquet(out, partition_cols=["sink"])    # per-sink HEC exporters
-      + grouped_count(sink[, severity, tool])          # count-connector/batch
+    read_parquet(transcripts, columns pruned)     # filelog / otlp receive
+      → map_batches(ParseStage.as_fn())           # stanza operator chain
+      → map_batches(make_enrich_fn(dims))         # resourcedetection/k8s
+      → map_batches(RouteStage())                 # routing connector
+      → map_batches(SinkWriter(out))              # per-sink HEC exporters
+      + partial (sink, severity, tool) counts     # count-connector/batch
+
+The three transform stages are plain functions, so Ray fuses them with the
+read into one task chain.
 
 Collector concerns we get from Ray Data for free (SURVEY.md §4): streaming
 backpressure (memory_limiter), re-batching (batch processor), retries, and
@@ -31,14 +34,13 @@ import ray
 import ray.data
 
 from ..corpus import ensure_transcripts
-from ..stages.enrich import EnrichStage, build_dim_table, make_enrich_fn
+from ..stages.enrich import build_dim_table, make_enrich_fn
 from ..stages.parse import ParseStage
 from ..stages.route import RouteStage
 from ..state import manifest as mf
 from .aggregate import grouped_count
 
 INPUT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-PARSE_BATCH = 32_768
 
 
 def read_transcripts(sf_dir: str, parallelism: int | None = None,
@@ -106,20 +108,12 @@ def corpus_row_count(sf_dir: str) -> int:
                for f in _glob.glob(os.path.join(path, "*.parquet")))
 
 
-def build_logs_dataset(
-    src: "str | ray.data.Dataset",
-    routes: RouteStage | None = None,
-    use_actors: bool = False,
-    concurrency: tuple[int, int] | int | None = None,
-) -> "ray.data.Dataset":
+def build_logs_dataset(src: "str | ray.data.Dataset") -> "ray.data.Dataset":
     """Compose parse → enrich → route over a transcript source (lazy).
 
-    Default path: FUNCTION stages with per-process state caches — Ray fuses
-    Read→parse→enrich→route into one task chain (zero intermediate
-    materialization, no actor-pool ramp-up), which benchmarks ~2× faster at
-    this state size. ``use_actors=True`` switches to the actor-pool form —
-    the right shape when per-worker init is genuinely expensive (models,
-    large dim caches; SURVEY.md §7.3).
+    All three are FUNCTION stages (state is a per-process cache or none):
+    Ray fuses Read→parse→enrich→route into one task chain, with zero
+    intermediate materialization and no actor-pool ramp-up.
     """
     # A string source gets the flagship's scale-adaptive read-block count:
     # the fused read→parse→enrich→route chain inherits task granularity
@@ -129,28 +123,9 @@ def build_logs_dataset(
     ds = (read_transcripts(src, parallelism=flagship_num_blocks(src))
           if isinstance(src, str) else src)
     dims_ref = ray.put(build_dim_table())  # broadcast ONCE, read per worker
-    if use_actors:
-        if concurrency is None:
-            # two pools must leave CPUs for read/route/write tasks, or the
-            # pipeline deadlocks on small sessions (each pool reserves its
-            # min actors up front)
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            per_pool = max(1, (ncpu - 2) // 2)
-            concurrency = (1, per_pool)
-        ds = ds.map_batches(
-            ParseStage, batch_format="pyarrow", batch_size=PARSE_BATCH,
-            concurrency=concurrency,
-        )
-        ds = ds.map_batches(
-            EnrichStage, fn_constructor_kwargs={"dims": dims_ref},
-            batch_format="pyarrow", batch_size=PARSE_BATCH,
-            concurrency=concurrency,
-        )
-    else:
-        ds = ds.map_batches(ParseStage.as_fn(), batch_format="pyarrow")
-        ds = ds.map_batches(make_enrich_fn(dims_ref), batch_format="pyarrow")
-    ds = ds.map_batches(routes or RouteStage(), batch_format="pyarrow")
-    return ds
+    ds = ds.map_batches(ParseStage.as_fn(), batch_format="pyarrow")
+    ds = ds.map_batches(make_enrich_fn(dims_ref), batch_format="pyarrow")
+    return ds.map_batches(RouteStage(), batch_format="pyarrow")
 
 
 def sink_counts(ds: "ray.data.Dataset") -> dict[str, int]:
@@ -198,11 +173,9 @@ def _export_counts(ds: "ray.data.Dataset", out_dir: str,
     from ..stages.export import SinkWriter
     from .aggregate import _sum_combine
 
-    keys = ["sink", "severity_text", "tool"]
-    if partition_col is not None:
-        keys = [partition_col, *keys]
-    partials = ds.map_batches(SinkWriter(out_dir, partition_col=partition_col),
-                              batch_format="pyarrow")
+    writer = SinkWriter(out_dir, partition_col=partition_col)
+    keys = writer.group_keys
+    partials = ds.map_batches(writer, batch_format="pyarrow")
     pre = _sum_combine(partials, keys, ["n"])
     pdf = pre.to_pandas().groupby(keys, as_index=False)["n"].sum()
     if stats_path:

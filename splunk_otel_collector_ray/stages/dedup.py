@@ -1135,9 +1135,9 @@ def _keep_best_distributed(
     return final.map_batches(finalize, batch_format="pyarrow")
 
 
-def _split_space_column(col) -> tuple[np.ndarray, np.ndarray]:
+def _split_space_column(col) -> tuple[np.ndarray, pa.Array]:
     """LITERAL single-space tokens for a whole column: per-doc token
-    counts and one flat object array, split in Arrow C++
+    counts and the flat Arrow token values, split in Arrow C++
     (``pc.split_pattern``) so the DuckDB twin is a plain
     ``string_split(text, ' ')`` — empties from doubled spaces are KEPT
     and nulls coalesce to '' on both sides. This tokenization is the
@@ -1149,16 +1149,14 @@ def _split_space_column(col) -> tuple[np.ndarray, np.ndarray]:
     parts = parts.combine_chunks()
     lens = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
     lens = np.nan_to_num(lens.astype(np.float64)).astype(np.int64)
-    flat = parts.flatten() if isinstance(parts, pa.ChunkedArray) else parts
-    values = flat.values if isinstance(flat, pa.ListArray) else flat
-    return lens, values.to_numpy(zero_copy_only=False)
+    return lens, pc.list_flatten(parts)
 
 
 def _flat_space_tokens(batch: pa.Table, text_col: str, id_col: str
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, pa.Array]:
     """:func:`_split_space_column` plus the batch's id column.
 
-    Returns (ids, per-doc token counts, flat token object array)."""
+    Returns (ids, per-doc token counts, flat Arrow token values)."""
     lens, values = _split_space_column(batch[text_col])
     ids = batch[id_col].to_numpy(zero_copy_only=False)
     return ids, lens, values
@@ -1271,6 +1269,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
 
     def hash_partial(t: pa.Table) -> pa.Table:
         _, lens, flat = _flat_space_tokens(t, text_col, id_col)
+        flat = flat.to_numpy(zero_copy_only=False)
         th = pd.util.hash_array(flat)
         _, _, fold = _window_hashes(lens, th, k)
         u, c = np.unique(fold, return_counts=True)
@@ -1305,6 +1304,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
 
     def candidates(t: pa.Table) -> pa.Table:
         ids, lens, flat = _flat_space_tokens(t, text_col, id_col)
+        flat = flat.to_numpy(zero_copy_only=False)
         th = pd.util.hash_array(flat)
         starts, pos, fold = _window_hashes(lens, th, k)
         d = ray.get(dups_ref)
@@ -1388,7 +1388,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
 
 
 def _mark_and_emit(id_arr: "pa.Array", ids: np.ndarray, lens: np.ndarray,
-                   flat: np.ndarray, g_start: np.ndarray,
+                   flat: pa.Array, g_start: np.ndarray,
                    canon: np.ndarray, k: int, text_col: str,
                    id_col: str) -> pa.Table:
     """Shared rebuild tail for both substring-dedup mask paths: interval
@@ -1396,6 +1396,8 @@ def _mark_and_emit(id_arr: "pa.Array", ids: np.ndarray, lens: np.ndarray,
     (``g_start`` = window start indices, ``canon`` = canonical flags),
     then stitch each doc from its kept tokens. Docs losing every token
     are dropped (the SQL twin's GROUP BY over kept rows)."""
+    import pyarrow.compute as pc
+
     total = int(lens.sum())
     dropped = np.zeros(total, dtype=bool)
     if total and len(g_start):
@@ -1410,18 +1412,21 @@ def _mark_and_emit(id_arr: "pa.Array", ids: np.ndarray, lens: np.ndarray,
             else:
                 cov_dup = cov
         dropped = cov_dup & ~cov_can
-    kept = ~dropped
     doc_of = np.repeat(np.arange(len(lens)), lens)
-    n_drop = np.bincount(doc_of[dropped], minlength=len(lens)) \
-        if total else np.zeros(len(lens), dtype=np.int64)
-    kdf = pd.DataFrame({"d": doc_of[kept], "tok": flat[kept]})
-    out = kdf.groupby("d", sort=True)["tok"].agg(" ".join)
-    rows_d = out.index.to_numpy()
+    n_drop = np.bincount(doc_of[dropped], minlength=len(lens))
+    # each doc's kept tokens as one list row, joined in Arrow C++; docs
+    # that lost every token have no row
+    n_kept = lens - n_drop
+    rows_d = np.flatnonzero(n_kept)
+    offsets = np.zeros(len(rows_d) + 1, dtype=np.int32)
+    np.cumsum(n_kept[rows_d], out=offsets[1:])
+    kept = pa.ListArray.from_arrays(pa.array(offsets),
+                                    flat.filter(pa.array(~dropped)))
     id_type = id_arr.type if isinstance(id_arr, (pa.Array, pa.ChunkedArray)) \
         else pa.int64()
     return pa.table({
         id_col: pa.array(ids[rows_d], type=id_type),
-        text_col: pa.array(out.to_numpy(), type=pa.string()),
+        text_col: pc.binary_join(kept, " ").cast(pa.string()),
         "n_dropped": pa.array(n_drop[rows_d].astype(np.int64))})
 
 

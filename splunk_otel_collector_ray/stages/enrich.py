@@ -15,9 +15,11 @@ Reference semantics (citations into /root/reference):
   (pkg/receiver/smartagentreceiver/output.go:256-259).
 
 Ray-Data-first mapping: the dimension state is a SMALL table → broadcast once
-with `ray.put` and look it up inside an actor-pool `map_batches` stage
-(`__init__` resolves the ObjectRef once per actor — the k8s watch cache
-analogue; `__call__` is a vectorized take per batch). No shuffle join.
+with `ray.put` and look it up in a `map_batches` stage. The logs pipeline
+runs it as a fused function stage (`make_enrich_fn`: the ObjectRef is
+resolved once per worker process — the k8s watch cache analogue);
+`EnrichStage` also works as an actor pool. `__call__` is a vectorized take
+per batch. No shuffle join.
 
 The fixture dimension table (FIXTURES.md §5) is keyed on a conv bucket. The
 bucket function must be computable by the DuckDB oracle too, so it is the
@@ -67,11 +69,11 @@ def conv_bucket(conv_id_col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 class EnrichStage:
-    """Actor-pool `map_batches` stage: broadcast-dim lookup + resource stamp.
+    """`map_batches` stage: broadcast-dim lookup + resource stamp.
 
     ``dims`` may be a pandas DataFrame or a ``ray.ObjectRef`` to one (use
-    ``ray.put(build_dim_table())`` on the driver — shipped once per actor,
-    not per batch).
+    ``ray.put(build_dim_table())`` on the driver — shipped once per worker
+    or actor, not per batch).
     """
 
     DIM_COLS = ["k8s.pod.name", "k8s.namespace.name", "cloud.provider", "host.name"]

@@ -38,12 +38,14 @@ class SinkWriter:
     partition id — one streaming pass yields resumable per-partition output
     AND its lineage metrics (see pipelines/logs.run_resumable)."""
 
-    def __init__(self, out_dir: str, agg_keys: tuple[str, ...] = (
-            "sink", "severity_text", "tool"),
-            partition_col: str | None = None) -> None:
+    def __init__(self, out_dir: str, partition_col: str | None = None
+                 ) -> None:
         self.out_dir = out_dir
-        self.agg_keys = list(agg_keys)
         self.partition_col = partition_col
+        # the partial counts' group keys
+        self.group_keys = ["sink", "severity_text", "tool"]
+        if partition_col is not None:
+            self.group_keys.insert(0, partition_col)
 
     def _fingerprint(self, batch: pa.Table) -> str:
         # first row + last row + count: disjoint ordered batches can't collide
@@ -57,9 +59,7 @@ class SinkWriter:
         return hashlib.md5(key.encode()).hexdigest()[:16]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        group_keys = list(self.agg_keys)
-        if self.partition_col is not None:
-            group_keys = [self.partition_col, *group_keys]
+        group_keys = self.group_keys
         if batch.num_rows == 0:  # filtered-empty upstream: no files, no counts
             counts = batch.group_by(group_keys).aggregate([("sink", "count")])
             return counts.rename_columns([*group_keys, "n"])

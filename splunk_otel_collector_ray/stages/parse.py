@@ -25,11 +25,13 @@ flat offsets) are each assembled once per batch. Timestamps are sliced and
 parsed by Arrow kernels; only rows a fast path cannot prove equal go
 through pandas' strptime.
 
-Deployment shapes: plain function stage via ``ParseStage.as_fn()`` (fuses with
-read and downstream task stages; state cached per worker process) or an actor
-pool via ``map_batches(ParseStage, concurrency=N)`` (mirrors once-per-instance
-Configure, receiver.go:91-127) when fleet-wide fusion matters less than
-isolation.
+Each family's chain is one row of ``PLAN`` (timestamp layout, severity
+table, body), run by one generic loop; every timestamp goes through
+``_parse_time``.
+
+Deployment shape: the stage holds no state, so ``ParseStage.as_fn()`` is a
+plain function stage that fuses with the read and downstream task stages.
+The class can still be passed to ``map_batches`` as an actor pool.
 
 Output schema (FIXTURES.md §2):
   conv_id, turn_idx, role, tool            passthrough (+ any extra columns)
@@ -98,8 +100,6 @@ FAMILY_ATTR_KEYS: dict[str, list[str]] = {
         "protocol", "code", "size",
     ],
 }
-
-FAMILIES = list(FAMILY_ATTR_KEYS)
 
 # extraction patterns (verbatim semantics from the shipped configs; all-named
 # groups so pyarrow's RE2 extract_regex can run them)
@@ -190,22 +190,45 @@ NCSA_TWIN: dict[str, tuple[str, int]] = {  # family -> (twin, '"' count)
     "ncsa_common": (_NCSA_TWIN_HEAD + "$", 2),
 }
 
-# data-driven parse plans for the round-2 families: (ts pandas format,
-# strip-from-time, severity table, lower severity token, body group)
-SIMPLE_FAMILY: dict[str, tuple] = {
-    "cassandra":  ("%Y-%m-%d %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
-    "jetty9":     ("%Y-%m-%d %H:%M:%S.%f", None, DEFAULT_LEVELS, True, "log"),
-    "mysql_error": ("%Y-%m-%d %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
-    "mysql_query": ("%y%m%d %H:%M:%S", None, None, False, "log"),
-    "nginx_error": ("%Y/%m/%d %H:%M:%S", None, APACHE_ERROR_LEVELS,
-                    False, "log"),
-    # layout '%Y-%m-%d %H:%M:%S.%L %Z' (:426) — the %Z zone name is stripped
-    # before the strptime kernel (corpus always stamps UTC)
-    "postgresql": ("%Y-%m-%d %H:%M:%S.%f", " UTC", None, False, "log"),
-    "rabbitmq":   ("%Y-%m-%d %H:%M:%S.%f", None, DEFAULT_LEVELS, True, "log"),
-    "tomcat":     ("%d-%b-%Y %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
-    "zookeeper":  ("%Y-%m-%d %H:%M:%S", None, DEFAULT_LEVELS, True, "log"),
-    "ncsa_common": ("%d/%b/%Y:%H:%M:%S %z", None, None, False, None),
+# one stanza chain per family: family -> (ts layout, severity table, lower
+# the severity token, body). The layout goes to `_parse_time` (None: no
+# timestamp sub-parser); the body is an RX group, a function of the
+# extracted fields, or None (the raw line stays the body). Families
+# without a plan (memcached, mysql_slow, java_stack, plain) have no
+# operator chain: body = line, no ts/severity.
+PLAN: dict[str, tuple] = {
+    "apache_access": ("%d/%b/%Y:%H:%M:%S %z", None, False, None),
+    "apache_error": ("%a %b %d %H:%M:%S %Y", APACHE_ERROR_LEVELS, False,
+                     "log"),
+    # no year in the layout (%b %e %H:%M:%S): stanza infers the current
+    # year, the loop pins the observed (input) ts year in front
+    "syslog": ("%Y %b %d %H:%M:%S", None, False, "log"),
+    "redis_server": ("%d %b %Y %H:%M:%S.%f", REDIS_LEVELS, False, "log"),
+    # layout_type: epoch, layout: s (logs_config_linux.yaml:503-506)
+    "redis_handler": ("epoch", None, False, "log"),
+    "docker": ("%Y-%m-%dT%H:%M:%S.%fZ", None, False,
+               lambda f: pc.replace_substring(f["log"], "\\n", "\n")),
+    # transform deletes Level/message/time; body stays the raw line
+    "json_level": (None, JSON_LEVEL_MAP, False, None),
+    # layout '%Y-%m-%dT%H:%M:%S.%L%z' (logs_config_linux.yaml:280)
+    "mongodb": ("%Y-%m-%dT%H:%M:%S.%f%z", MONGODB_LEVELS, False, "log"),
+    "etcd": ("%Y-%m-%d %H:%M:%S", ETCD_LEVELS, False, "log"),
+    # regex_parser parse_to body.parsed + add body
+    # EXPR(before + "XXX-XXX-XXXX" + after)
+    "pii": (None, None, False, lambda f: pc.binary_join_element_wise(
+        f["before"], f["after"], "XXX-XXX-XXXX")),
+    "cassandra": ("%Y-%m-%d %H:%M:%S", DEFAULT_LEVELS, True, "log"),
+    "jetty9": ("%Y-%m-%d %H:%M:%S.%f", DEFAULT_LEVELS, True, "log"),
+    "mysql_error": ("%Y-%m-%d %H:%M:%S", DEFAULT_LEVELS, True, "log"),
+    "mysql_query": ("%y%m%d %H:%M:%S", None, False, "log"),
+    "nginx_error": ("%Y/%m/%d %H:%M:%S", APACHE_ERROR_LEVELS, False, "log"),
+    # layout '%Y-%m-%d %H:%M:%S.%L %Z' (:426): the loop strips the %Z zone
+    # name before parsing (the corpus always stamps UTC)
+    "postgresql": ("%Y-%m-%d %H:%M:%S.%f", None, False, "log"),
+    "rabbitmq": ("%Y-%m-%d %H:%M:%S.%f", DEFAULT_LEVELS, True, "log"),
+    "tomcat": ("%d-%b-%Y %H:%M:%S", DEFAULT_LEVELS, True, "log"),
+    "zookeeper": ("%Y-%m-%d %H:%M:%S", DEFAULT_LEVELS, True, "log"),
+    "ncsa_common": ("%d/%b/%Y:%H:%M:%S %z", None, False, None),
 }
 
 # detection, in router order (first match wins) — stanza router exprs; the
@@ -300,28 +323,31 @@ def _ns_safe(ts: pa.Array) -> pa.Array:
                               pc.less_equal(ts, _NS_SPAN[1])), ts, None)
 
 
-def _fast_strptime(raw, layout: str) -> pd.Series:
-    """Fast vectorized parse for the ``_FAST_LAYOUTS``; returns naive-UTC.
-
-    Arrow-kernel path (utf8 slices + dictionary month map + null-joining
-    concat + ``pc.strptime(error_is_null=True)`` — no per-row Python, r5)
-    with the original pandas construction as a whole-batch fallback when
-    a slice is so mis-shaped the numeric casts fail; per-row mis-reads
-    (non-padded days etc.) still drop to real strptime row-wise."""
-    if isinstance(raw, np.ndarray):
-        arr = pa.array(pd.Series(raw, dtype=object).fillna("").astype(str),
-                       type=pa.string())
-    else:
-        arr = raw if not isinstance(raw, pa.ChunkedArray) \
-            else raw.combine_chunks()
+def _parse_time(t: pa.Array, layout: str) -> pd.Series:
+    """Time strings under a ``PLAN`` layout → naive-UTC datetime64[ns],
+    NaT where unparsed. ``"epoch"`` is seconds, a ``_FAST_LAYOUTS`` layout
+    is sliced and a fixed-width numeric one goes straight to the strptime
+    kernel; only rows those Arrow paths cannot prove equal reach pandas'
+    own strptime. When a slice is so mis-shaped that a numeric cast fails,
+    the whole batch takes the pandas construction instead."""
+    if layout == "epoch":
+        return _epoch_seconds(t)
+    fast = layout in _FAST_LAYOUTS
     try:
-        return _fast_strptime_arrow(arr, layout)
+        if fast:
+            return _fast_strptime_arrow(t, layout)
+        return _numeric_strptime_arrow(t, layout)
     except (pa.lib.ArrowInvalid, pa.lib.ArrowNotImplementedError):
-        return _fast_strptime_pandas(
-            pd.Series(_np(arr), dtype=object), layout)
+        s = pd.Series(_np(t), dtype=object)
+        if fast:
+            return _fast_strptime_pandas(s, layout)
+        return pd.to_datetime(s, format=layout, errors="coerce")
 
 
 def _fast_strptime_arrow(arr: pa.Array, layout: str) -> pd.Series:
+    """A ``_FAST_LAYOUTS`` parse: utf8 slices + dictionary month map +
+    null-joining concat + ``pc.strptime(error_is_null=True)``; rows the
+    slicing mis-reads (non-padded days etc.) drop to real strptime."""
     s = pc.fill_null(arr, "")
 
     def sl(a: int, b: int | None) -> pa.Array:
@@ -427,23 +453,12 @@ def _rendered_len(fmt: str) -> int:
                .replace("%M", "##").replace("%S", "##"))
 
 
-def _numeric_strptime(tarr, fmt: str) -> pd.Series:
-    """Arrow-kernel strptime for fixed-width NUMERIC layouts, with a
-    trailing ``.%f`` fraction (and optional literal ``Z``) handled by a
+def _numeric_strptime_arrow(arr: pa.Array, fmt: str) -> pd.Series:
+    """A fixed-width NUMERIC layout straight to the strptime kernel, with
+    a trailing ``.%f`` fraction (and optional literal ``Z``) handled by a
     prefix/fraction split — bit-equal to ``pd.to_datetime(format=fmt,
     errors="coerce")`` including its reject-on-trailing-garbage rule
-    (pinned by test). Falls back to pandas when a fraction slice is so
-    mis-shaped the int cast fails."""
-    arr = tarr if not isinstance(tarr, pa.ChunkedArray) \
-        else tarr.combine_chunks()
-    try:
-        return _numeric_strptime_arrow(arr, fmt)
-    except (pa.lib.ArrowInvalid, pa.lib.ArrowNotImplementedError):
-        return pd.to_datetime(pd.Series(_np(arr), dtype=object), format=fmt,
-                              errors="coerce")
-
-
-def _numeric_strptime_arrow(arr: pa.Array, fmt: str) -> pd.Series:
+    (pinned by test)."""
     full = pc.fill_null(arr, "")
     base, z_req = fmt, False
     if base.endswith("Z"):
@@ -598,14 +613,20 @@ def _span_ids(batch: pa.Table) -> pa.Array:
         n, pa.py_buffer(offsets), pa.py_buffer(hexes))
 
 
+def _text(batch: pa.Table) -> pa.Array:
+    """The ``text`` column as one Array; a null line reads as "" (it
+    classifies as plain)."""
+    text = batch.column("text")
+    if isinstance(text, pa.ChunkedArray):
+        text = text.combine_chunks()
+    return pc.fill_null(text, "") if text.null_count else text
+
+
 class ParseStage:
     """Arrow-native parse stage for ``map_batches`` (RE2 kernels, no row loop)."""
 
-    def __init__(self) -> None:
-        self.detect = DETECT
-        self.rx = RX
-
-    def classify(self, text: pa.Array) -> tuple[np.ndarray, list[str]]:
+    @staticmethod
+    def classify(text: pa.Array) -> tuple[np.ndarray, list[str]]:
         """First-match router → (int8 family codes, family name list).
 
         Codes (not object strings) keep the hot path allocation-free; code
@@ -619,7 +640,7 @@ class ParseStage:
         codes = np.full(n, -1, dtype=np.int16)
         names = []
         unclaimed = np.ones(n, dtype=bool)
-        for i, (name, kind, pat) in enumerate(self.detect):
+        for i, (name, kind, pat) in enumerate(DETECT):
             names.append(name)
             idx = np.flatnonzero(unclaimed)
             if not len(idx):
@@ -636,12 +657,13 @@ class ParseStage:
         codes[codes < 0] = len(names)
         return codes.astype(np.int8), [*names, "plain"]
 
-    def extract(self, family: str, sub: pa.Array) -> dict[str, pa.Array]:
-        """``_fields(extract_regex(sub, rx[family]))``. The NCSA families
+    @classmethod
+    def extract(cls, family: str, sub: pa.Array) -> dict[str, pa.Array]:
+        """``_fields(extract_regex(sub, RX[family]))``. The NCSA families
         take their one-pass twin's groups on guarded rows (see
         ``NCSA_TWIN``) and run the shipped pattern only on the rest."""
         if family not in NCSA_TWIN:
-            return self._fields(pc.extract_regex(sub, self.rx[family]))
+            return cls._fields(pc.extract_regex(sub, RX[family]))
         twin, quotes = NCSA_TWIN[family]
         st = pc.extract_regex(sub, twin)
         rest = ~(_np(pc.is_valid(st))
@@ -652,8 +674,8 @@ class ParseStage:
         if not rest.any():
             return out
         mask = pa.array(rest)
-        shipped = self._fields(
-            pc.extract_regex(sub.filter(mask), self.rx[family]))
+        shipped = cls._fields(
+            pc.extract_regex(sub.filter(mask), RX[family]))
         return {k: pc.replace_with_mask(v, mask, shipped[k])
                 for k, v in out.items()}
 
@@ -661,11 +683,7 @@ class ParseStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        text = batch.column("text")
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        if text.null_count:  # null body → empty line (classifies as plain)
-            text = pc.fill_null(text, "")
+        text = _text(batch)
         ts_in_np = _np(batch.column("ts")).astype("datetime64[us]")
         codes, names = self.classify(text)
 
@@ -676,112 +694,39 @@ class ParseStage:
         bodies: list[tuple[np.ndarray, pa.Array]] = []
         attrs: list[tuple[np.ndarray, list[str], list[pa.Array]]] = []
 
-        def put_ts(idx: np.ndarray, parsed: pd.Series) -> None:
-            v = parsed.to_numpy()
-            v = v.astype("datetime64[us]")
-            ok = ~pd.isna(v)
-            ts_out[idx[ok]] = v[ok]  # failures keep observed-time fallback
-
-        def put_body(idx: np.ndarray, sub: pa.Array, vals: pa.Array) -> None:
-            # null extraction (parse failure) keeps the raw line
-            bodies.append((idx, pc.coalesce(vals, sub)))
-
-        def put_sev(idx: np.ndarray, tokens: pa.Array, table: dict) -> None:
-            sev_code[idx] = _level_codes(tokens, table)
-
-        def attrs_of(family: str, fields, idx) -> None:
-            keys = FAMILY_ATTR_KEYS[family]
-            if keys:
-                attrs.append((idx, keys, [pc.fill_null(
-                    fields["role" if k == "redis_role" else k], "")
-                    for k in keys]))
-
         order = np.argsort(codes, kind="stable")  # rows grouped by family
         counts = np.bincount(codes, minlength=len(names))
         ends = np.cumsum(counts)
         for fam_code, family in enumerate(names):
-            if family == "plain" or family not in self.rx:
-                # raw-passthrough families (memcached, mysql_slow, java_stack)
-                # have no operator chain: body = line, no ts/severity
+            if family not in PLAN or not counts[fam_code]:
                 continue
-            if not counts[fam_code]:
-                continue
+            layout, levels, lower, body = PLAN[family]
             idx = order[ends[fam_code] - counts[fam_code]:ends[fam_code]]
             sub = text.take(pa.array(idx, type=pa.int64()))
             f = self.extract(family, sub)
-
-            if family == "apache_access":
-                put_ts(idx, _fast_strptime(
-                    f["time"], "%d/%b/%Y:%H:%M:%S %z"))
-                attrs_of(family, f, idx)
-            elif family == "apache_error":
-                put_ts(idx, _fast_strptime(
-                    f["time"], "%a %b %d %H:%M:%S %Y"))
-                put_sev(idx, f["level"], APACHE_ERROR_LEVELS)
-                put_body(idx, sub, f["log"])
-                attrs_of(family, f, idx)
-            elif family == "syslog":
-                # no year in the layout (%b %e %H:%M:%S) — stanza infers the
-                # current year; we pin it to the observed (input) ts year
-                years = ts_in_np[idx].astype("datetime64[Y]").astype(int) + 1970
-                put_ts(idx, _fast_strptime(pc.binary_join_element_wise(
-                    pc.cast(pa.array(years), pa.string()),
-                    pc.fill_null(f["time"], ""), " "), "%Y %b %d %H:%M:%S"))
-                put_body(idx, sub, f["log"])
-                attrs_of(family, f, idx)
-            elif family == "docker":
-                put_ts(idx, _numeric_strptime(
-                    f["time"], "%Y-%m-%dT%H:%M:%S.%fZ"))
-                put_body(idx, sub, pc.replace_substring(f["log"], "\\n", "\n"))
-                attrs_of(family, f, idx)
-            elif family == "redis_server":
-                put_ts(idx, _fast_strptime(
-                    f["time"], "%d %b %Y %H:%M:%S.%f"))
-                put_sev(idx, f["level"], REDIS_LEVELS)
-                put_body(idx, sub, f["log"])
-                attrs_of(family, f, idx)
-            elif family == "redis_handler":
-                # layout_type: epoch, layout: s (logs_config_linux.yaml:503-506)
-                put_ts(idx, _epoch_seconds(f["time"]))
-                put_body(idx, sub, f["log"])
-                attrs_of(family, f, idx)
-            elif family == "mongodb":
-                # layout '%Y-%m-%dT%H:%M:%S.%L%z' (logs_config_linux.yaml:280)
-                put_ts(idx, _fast_strptime(
-                    f["time"], "%Y-%m-%dT%H:%M:%S.%f%z"))
-                put_sev(idx, f["level"], MONGODB_LEVELS)
-                put_body(idx, sub, f["log"])
-                attrs_of(family, f, idx)
-            elif family == "etcd":
-                put_ts(idx, _numeric_strptime(
-                    f["time"], "%Y-%m-%d %H:%M:%S"))
-                put_sev(idx, f["level"], ETCD_LEVELS)
-                put_body(idx, sub, f["log"])
-            elif family == "json_level":
-                put_sev(idx, f["level"], JSON_LEVEL_MAP)
-                # transform deletes Level/message/time; body stays raw line
-            elif family == "pii":
-                # regex_parser parse_to body.parsed + add body
-                # EXPR(before + "XXX-XXX-XXXX" + after)
-                put_body(idx, sub, pc.binary_join_element_wise(
-                    f["before"], f["after"], "XXX-XXX-XXXX"))
-            elif family in SIMPLE_FAMILY:
-                ts_fmt, strip, sev_table, sev_lower, body_grp = \
-                    SIMPLE_FAMILY[family]
-                tarr = f["time"]
-                if strip:
-                    tarr = pc.replace_substring(tarr, strip, "")
-                # the %z layout is a fast layout; the rest are fixed-width
-                # numeric → Arrow kernels
-                put_ts(idx, _fast_strptime(tarr, ts_fmt)
-                       if ts_fmt in _FAST_LAYOUTS
-                       else _numeric_strptime(tarr, ts_fmt))
-                if sev_table is not None:
-                    tok = pc.utf8_lower(f["level"]) if sev_lower else f["level"]
-                    put_sev(idx, tok, sev_table)
-                if body_grp is not None:
-                    put_body(idx, sub, f[body_grp])
-                attrs_of(family, f, idx)
+            if layout is not None:
+                t = f["time"]
+                if family == "syslog":  # pin the observed year (PLAN)
+                    years = ts_in_np[idx].astype("datetime64[Y]").astype(int)
+                    t = pc.binary_join_element_wise(pc.cast(pa.array(
+                        years + 1970), pa.string()), pc.fill_null(t, ""), " ")
+                elif family == "postgresql":  # %Z zone name (PLAN)
+                    t = pc.replace_substring(t, " UTC", "")
+                v = _parse_time(t, layout).to_numpy().astype("datetime64[us]")
+                ok = ~pd.isna(v)
+                ts_out[idx[ok]] = v[ok]  # failures keep the observed ts
+            if levels is not None:
+                tok = pc.utf8_lower(f["level"]) if lower else f["level"]
+                sev_code[idx] = _level_codes(tok, levels)
+            if body is not None:
+                vals = f[body] if isinstance(body, str) else body(f)
+                # null extraction (parse failure) keeps the raw line
+                bodies.append((idx, pc.coalesce(vals, sub)))
+            keys = FAMILY_ATTR_KEYS[family]
+            if keys:
+                attrs.append((idx, keys, [pc.fill_null(
+                    f["role" if k == "redis_role" else k], "")
+                    for k in keys]))
 
         # passthrough-preserving output: keep every input column except the
         # consumed `text` and the replaced `ts` (original ts → observed_ts),
@@ -802,19 +747,12 @@ class ParseStage:
         cols["span_id"] = _span_ids(batch)
         return pa.table(cols)
 
-    # per-worker-process singleton so the compiled chain can run as a plain
-    # FUNCTION stage (fusable with the read and downstream task stages) —
-    # for heavyweight state use the class as an actor pool instead.
-    _singleton: "ParseStage | None" = None
-
     @classmethod
-    def as_fn(cls):
-        def parse_batch(batch: pa.Table) -> pa.Table:
-            if cls._singleton is None:
-                cls._singleton = cls()
-            return cls._singleton(batch)
-
-        return parse_batch
+    def as_fn(cls) -> "ParseStage":
+        """The stage for a plain FUNCTION ``map_batches`` (fusable with the
+        read and downstream task stages): it holds no state, so this is
+        just an instance."""
+        return cls()
 
     @classmethod
     def classify_fn(cls):
@@ -823,14 +761,7 @@ class ParseStage:
         the reference frames raw lines before the operator chain sees them."""
 
         def classify_batch(batch: pa.Table) -> pa.Table:
-            if cls._singleton is None:
-                cls._singleton = cls()
-            text = batch["text"]
-            if isinstance(text, pa.ChunkedArray):
-                text = text.combine_chunks()
-            if text.null_count:
-                text = pc.fill_null(text, "")
-            codes, names = cls._singleton.classify(text)
+            codes, names = cls.classify(_text(batch))
             return batch.append_column("log_format", pc.take(
                 pa.array(names, type=pa.string()),
                 pa.array(codes, type=pa.int8())))

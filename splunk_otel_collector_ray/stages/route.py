@@ -10,7 +10,8 @@ Reference semantics (citations into /root/reference):
   (agent_config.yaml:262); here each record lands in exactly ONE sink.
 
 Ray-Data-first mapping (SURVEY.md §2.11): one vectorized `map_batches` pass
-computes a `sink` column via ordered masks (np.select == first-match), then
+computes a `sink` column via ordered masks (np.select over route codes ==
+first-match, then one take of the sink names), then
 the exporter either writes a single pass partitioned by `sink`
 (`write_parquet(partition_cols=["sink"])`) or filters per sink. Per-sink
 routed-row counts fall out of the same pass — the north-rule equality target.
@@ -71,5 +72,11 @@ class RouteStage:
             if isinstance(m, (pa.Array, pa.ChunkedArray)):
                 m = np.asarray(m.combine_chunks() if isinstance(m, pa.ChunkedArray) else m)
             masks.append(np.asarray(m, dtype=bool))
-        sink = np.select(masks, [r.sink for r in self.routes], default=self.default_sink)
-        return batch.append_column("sink", pa.array(sink, type=pa.string()))
+        # first match wins: small-int route codes (the default sink's code
+        # is len(routes)), then one take of the sink names
+        code_t = np.min_scalar_type(len(masks))
+        codes = (np.select(masks, np.arange(len(masks), dtype=code_t),
+                           default=code_t.type(len(masks))) if masks
+                 else np.zeros(batch.num_rows, dtype=code_t))
+        return batch.append_column("sink", pc.take(
+            pa.array(self.sinks, type=pa.string()), pa.array(codes)))

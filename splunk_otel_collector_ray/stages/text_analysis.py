@@ -1106,6 +1106,7 @@ def dsir_vocab(ds: "ray.data.Dataset", target_lang: str = "en",
 
     def partial(t: pa.Table) -> pa.Table:
         lens, toks = _split_space_column(t[text_col])
+        toks = toks.to_numpy(zero_copy_only=False)
         is_t = np.repeat(
             pc_.equal(pc_.coalesce(t[lang_col], ""), target_lang
                       ).to_numpy(zero_copy_only=False), lens)
@@ -1166,6 +1167,7 @@ def dsir_weights(ds: "ray.data.Dataset", vocab: pd.DataFrame,
     def score(t: pa.Table) -> pa.Table:
         tok, ct, cr = ray.get(model)
         lens, toks = _split_space_column(t[text_col])
+        toks = toks.to_numpy(zero_copy_only=False)
         n = len(lens)
         if len(toks) and len(tok):
             loc = np.searchsorted(tok, toks)

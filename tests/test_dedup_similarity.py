@@ -755,6 +755,49 @@ def test_substring_dedup_exact_semantics(ray_session):
     assert out["n_dropped"].tolist() == [0, 5, 0]
 
 
+def test_mark_and_emit_stitch_matches_pandas_join():
+    """The Arrow list-join stitch equals the pandas ``groupby().agg(" ".join)``
+    over kept tokens on random batches: docs that lose every token are
+    dropped, the empty tokens of doubled/edge spaces (and of a null text)
+    are kept, and docs keep their batch order."""
+    from splunk_otel_collector_ray.stages.dedup import (
+        _flat_space_tokens, _mark_and_emit)
+
+    rng = np.random.default_rng(7)
+    vocab = ["a", "b", "c", "", "dd"]
+    k = 2
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        texts = [None if rng.random() < 0.1 else " ".join(
+            rng.choice(vocab, int(rng.integers(1, 7)))) for _ in range(n)]
+        t = pa.table({"doc_id": pa.array(rng.permutation(n) * 10 + 5),
+                      "text": pa.array(texts, type=pa.string())})
+        ids, lens, flat = _flat_space_tokens(t, "text", "doc_id")
+        total = int(lens.sum())
+        g_start = rng.integers(0, total, int(rng.integers(0, total + 1)))
+        canon = rng.random(len(g_start)) < 0.3
+        got = _mark_and_emit(t["doc_id"], ids, lens, flat, g_start, canon,
+                             k, "text", "doc_id")
+
+        def cover(sel):
+            c = np.zeros(total, dtype=bool)
+            for g in g_start[sel]:
+                c[g:g + k] = True
+            return c
+
+        dropped = cover(~canon) & ~cover(canon)
+        doc_of = np.repeat(np.arange(n), lens)
+        toks = flat.to_numpy(zero_copy_only=False)
+        ref = pd.DataFrame({"d": doc_of[~dropped], "tok": toks[~dropped]}
+                           ).groupby("d", sort=True)["tok"].agg(" ".join)
+        rows = ref.index.to_numpy()
+        assert got.schema.field("text").type == pa.string()
+        assert got["doc_id"].to_pylist() == ids[rows].tolist()
+        assert got["text"].to_pylist() == ref.tolist()
+        assert got["n_dropped"].to_pylist() == np.bincount(
+            doc_of[dropped], minlength=n)[rows].tolist()
+
+
 def test_substring_dedup_canonical_rescue(ray_session):
     """A token covered by BOTH a canonical and a non-canonical window is
     rescued (the OR-canon rule), and within-doc repeats count as dups."""

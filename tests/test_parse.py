@@ -301,7 +301,7 @@ def test_numeric_strptime_matches_pandas_coerce():
     import pandas as pd
     import pyarrow as pa
 
-    from splunk_otel_collector_ray.stages.parse import _numeric_strptime
+    from splunk_otel_collector_ray.stages.parse import _parse_time
 
     cases = {
         "%Y-%m-%d %H:%M:%S": [
@@ -328,7 +328,7 @@ def test_numeric_strptime_matches_pandas_coerce():
     for fmt, vals in cases.items():
         raw = pd.Series(np.array(vals, dtype=object),
                         dtype=object).fillna("").astype(str)
-        new = _numeric_strptime(
+        new = _parse_time(
             pa.array(raw, type=pa.string()), fmt).reset_index(drop=True)
         old = pd.to_datetime(raw, format=fmt,
                              errors="coerce").reset_index(drop=True)
@@ -343,9 +343,10 @@ def test_fast_strptime_matches_pandas_construction():
     everything pandas' own strptime accepts beyond the sliced shape."""
     import numpy as np
     import pandas as pd
+    import pyarrow as pa
 
     from splunk_otel_collector_ray.stages.parse import (
-        _fast_strptime, _fast_strptime_pandas)
+        _fast_strptime_pandas, _parse_time)
 
     cases = {
         "%d/%b/%Y:%H:%M:%S %z": [
@@ -380,7 +381,8 @@ def test_fast_strptime_matches_pandas_construction():
     }
     for layout, vals in cases.items():
         raw = np.array(vals, dtype=object)
-        new = _fast_strptime(raw, layout).reset_index(drop=True)
+        new = _parse_time(pa.array(vals, type=pa.string()),
+                          layout).reset_index(drop=True)
         old = _fast_strptime_pandas(
             pd.Series(raw, dtype=object), layout).reset_index(drop=True)
         assert new.equals(old), layout
@@ -480,3 +482,34 @@ def test_epoch_seconds_matches_pandas_coerce():
                                        errors="coerce"),
                          unit="s", errors="coerce")
     assert new.equals(old)
+
+
+def test_plan_tables_agree():
+    """The family tables agree: each PLAN row reads only groups its RX
+    pattern has (`time` with a layout, `level` with a severity table, the
+    body group when the body is a group name); each layout is "epoch", a
+    fast layout or fixed-width numeric; each FAMILY_ATTR_KEYS key is an
+    RX group (redis_role reads `role`); the router names every family."""
+    import re
+
+    from splunk_otel_collector_ray.stages.parse import (
+        _FAST_LAYOUTS, DETECT, PLAN, RX)
+
+    numeric = re.compile(r"(%[YymdHMS]|[-/: T])+(\.%f)?Z?")
+    assert set(PLAN) == set(RX)
+    for family, (layout, levels, _, body) in PLAN.items():
+        groups = re.compile(RX[family]).groupindex
+        if layout is not None:
+            assert "time" in groups, family
+            assert (layout == "epoch" or layout in _FAST_LAYOUTS
+                    or numeric.fullmatch(layout)), (family, layout)
+        if levels is not None:
+            assert "level" in groups, family
+        if isinstance(body, str):
+            assert body in groups, family
+    for family, keys in FAMILY_ATTR_KEYS.items():
+        for k in keys:
+            assert ("role" if k == "redis_role" else k) in re.compile(
+                RX[family]).groupindex, (family, k)
+    assert set(FAMILY_ATTR_KEYS) == {name for name, _, _ in DETECT} | {
+        "plain"}

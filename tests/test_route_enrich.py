@@ -34,6 +34,25 @@ def test_first_match_wins():
                               "sink_default", "sink_default"]
 
 
+def test_empty_route_table_sends_every_row_to_default():
+    """A config route table with no routes ({"type": "route", "routes":
+    []}) is a valid stage: every row lands in the default sink."""
+    from splunk_otel_collector_ray.config import _route
+
+    t = _batch([
+        {"conv_id": "conv-00000001", "role": "tool", "tool": "bash",
+         "severity_number": 21, "log_format": "plain"},
+        {"conv_id": "conv-00000002", "role": "user", "tool": "",
+         "severity_number": 0, "log_format": "plain"},
+    ])
+    assert RouteStage(routes=[])(t)["sink"].to_pylist() == [
+        "sink_default", "sink_default"]
+    _, stage = _route({"type": "route", "routes": [],
+                       "default_sink": "sink_all"})
+    assert stage(t)["sink"].to_pylist() == ["sink_all", "sink_all"]
+    assert stage(t.slice(0, 0)).schema.field("sink").type == pa.string()
+
+
 def test_route_stage_sinks_list():
     rs = RouteStage()
     assert rs.sinks == ["sink_tools", "sink_errors", "sink_assistant",
@@ -88,16 +107,3 @@ def test_enrich_join_variant_matches_broadcast(ray_session):
         .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
     )
     assert joined.equals(broadcast)
-
-
-def test_actor_pool_path_matches_function_path(ray_session, sf_dir):
-    """use_actors=True (actor pools) and the fused function path must agree."""
-    from splunk_otel_collector_ray.pipelines.aggregate import grouped_count
-    from splunk_otel_collector_ray.pipelines.logs import build_logs_dataset
-
-    a = grouped_count(build_logs_dataset(sf_dir), ["sink"]).to_pandas()
-    b = grouped_count(build_logs_dataset(sf_dir, use_actors=True),
-                      ["sink"]).to_pandas()
-    a = a.sort_values("sink").reset_index(drop=True)
-    b = b.sort_values("sink").reset_index(drop=True)
-    assert a.equals(b)
