@@ -53,15 +53,12 @@ def main() -> None:
 
     import pyarrow.compute as pc
 
-    from splunk_otel_collector_ray.stages.recombine import _stitch_frame
+    from splunk_otel_collector_ray.stages.recombine import stitch_records
 
     frag = [fn(t.filter(pc.starts_with(t["text"], '{"log":')))
-            for t in tables]
+            .select(["conv_id", "turn_idx", "body"]) for t in tables]
     t0 = time.perf_counter()
-    n_stitch = sum(
-        len(_stitch_frame(f.select(["conv_id", "turn_idx", "body"])
-                          .to_pandas(), "body", "conv_id", "turn_idx"))
-        for f in frag if f.num_rows)
+    n_stitch = sum(stitch_records(f).num_rows for f in frag)
     stitch_s = time.perf_counter() - t0
 
     # doc-stats kernels (token_stats + quality_scores + model_score over

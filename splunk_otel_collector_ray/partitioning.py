@@ -131,6 +131,74 @@ def bucket_fold(ds: "ray.data.Dataset", bucket_col: str, fold,
         fold, batch_size=None, batch_format=batch_format)
 
 
+def segment_fold(t: pa.Table, key: str, order: str, value: str,
+                 sep: str = "",
+                 flag: "pa.Array | pa.ChunkedArray | None" = None,
+                 exclusive: bool = False) -> pa.Table:
+    """Sort-segment fold: order rows by ``(key, order)``, cut them into
+    segments and join each segment's ``value`` strings with ``sep`` — the
+    one stitch every ordered fold in the repo runs (recombine, multiline
+    framing, document reassembly).
+
+    Segments are runs of equal ``key``. With a boolean ``flag`` (aligned
+    with ``t``'s rows) each key's rows are further numbered into records
+    by a prefix sum of the flag that restarts at every key: INCLUSIVE
+    (a record starts at a flagged row; rows before the first flag form
+    record 0) or, with ``exclusive``, EXCLUSIVE (a record ends at, and
+    includes, a flagged row). A null value joins as ``""`` and a null flag
+    is False. Bucket-agnostic and vectorized: one stable Arrow sort, NumPy
+    boundary and prefix-sum arrays, one :func:`join_segments`.
+
+    Returns one row per segment in ``(key, record)`` order with columns
+    ``key``, ``record_id`` (int64, only when ``flag`` is given), ``value``
+    (the joined string) and ``n`` (int64 rows in the segment)."""
+    import pyarrow.compute as pc
+
+    idx = pc.sort_indices(t, sort_keys=[(key, "ascending"),
+                                        (order, "ascending")])
+    keys = t[key].take(idx).combine_chunks()
+    starts = np.ones(len(keys), dtype=bool)
+    if len(keys) > 1:
+        a, b = keys[1:], keys[:-1]
+        # null == null is no change; null against a value is one
+        changed = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                         pc.xor(pc.is_null(a), pc.is_null(b)))
+        starts[1:] = changed.to_numpy(zero_copy_only=False)
+    out = {}
+    if flag is not None:
+        f = pc.fill_null(flag, False).take(idx).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        csum = np.cumsum(f)
+        first = np.flatnonzero(starts)
+        run = np.diff(np.append(first, len(f)))
+        rid = csum - np.repeat(csum[first] - f[first], run)
+        if exclusive:
+            rid -= f
+        starts[1:] |= rid[1:] != rid[:-1]
+    pos = np.flatnonzero(starts)
+    out[key] = keys.take(pa.array(pos))
+    if flag is not None:
+        out["record_id"] = pa.array(rid[pos], type=pa.int64())
+    out[value] = join_segments(pc.fill_null(t[value], "").take(idx), pos, sep)
+    out["n"] = pa.array(np.diff(np.append(pos, len(keys))), type=pa.int64())
+    return pa.table(out)
+
+
+def join_segments(values: "pa.Array | pa.ChunkedArray", starts: np.ndarray,
+                  sep: str) -> pa.Array:
+    """Join consecutive runs of ``values`` with ``sep``: segment i is
+    ``values[starts[i]:starts[i + 1]]`` (the last runs to the end). One
+    ``ListArray`` over the start offsets + one ``pc.binary_join`` in Arrow
+    C++ — the join half of :func:`segment_fold`."""
+    import pyarrow.compute as pc
+
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    offsets = np.append(starts, len(values)).astype(np.int32)
+    lists = pa.ListArray.from_arrays(pa.array(offsets), values)
+    return pc.binary_join(lists, sep).cast(pa.string())
+
+
 def small_fold(partials: "ray.data.Dataset", fold,
                batch_format: str = "pyarrow") -> "ray.data.Dataset":
     """Final reduce for SMALL partials (≤ ~10⁷ rows after the combiner
@@ -202,7 +270,6 @@ def detect_hot_keys(ds: "ray.data.Dataset", key: str,
 def salted_span_durations(
     ds: "ray.data.Dataset",
     hot_threshold: int = 10_000,
-    num_buckets: int | None = None,
     chunk: int = 8192,
     salt: int = 8,
 ) -> "ray.data.Dataset":
@@ -223,8 +290,7 @@ def salted_span_durations(
 
     from .stages.metrics import span_durations
 
-    if num_buckets is None:
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
     # Three executions of the PRUNED 5-column projection (counts,
     # boundary, compute) — the hot set gates the boundary build and the
     # broadcast boundary table gates the compute, so each pass depends on

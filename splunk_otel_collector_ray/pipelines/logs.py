@@ -115,11 +115,12 @@ def build_logs_dataset(src: "str | ray.data.Dataset") -> "ray.data.Dataset":
     Ray fuses Read→parse→enrich→route into one task chain, with zero
     intermediate materialization and no actor-pool ramp-up.
     """
-    # A string source gets the flagship's scale-adaptive read-block count:
-    # the fused read→parse→enrich→route chain inherits task granularity
-    # from the read blocks, and default per-row-group blocks underfill the
-    # cluster at sf0.1 (measured 2.4 s vs 1.0 s for route_aggregate at 32
-    # cpus) and swarm it at sf1.6+ — same rationale as run_flagship.
+    # A string source gets the flagship's scale-adaptive read-block count
+    # (run_flagship passes its sf_dir here): the fused
+    # read→parse→enrich→route chain inherits task granularity from the
+    # read blocks, and default per-row-group blocks underfill the cluster
+    # at sf0.1 (measured 2.4 s vs 1.0 s for route_aggregate at 32 cpus)
+    # and swarm it at sf1.6+.
     ds = (read_transcripts(src, parallelism=flagship_num_blocks(src))
           if isinstance(src, str) else src)
     dims_ref = ray.put(build_dim_table())  # broadcast ONCE, read per worker
@@ -208,9 +209,7 @@ def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
     est_stream = corpus_row_count(sf_dir) * 115
     store = int(ray.cluster_resources().get("object_store_memory", 0))
     with reservation_off(est_stream < 0.8 * (store or float("inf"))):
-        ds = build_logs_dataset(
-            read_transcripts(sf_dir,
-                             parallelism=flagship_num_blocks(sf_dir)))
+        ds = build_logs_dataset(sf_dir)
         routed_dir = os.path.join(out_dir, "by_sink")
         os.makedirs(routed_dir, exist_ok=True)
         # GRAFT_FLAGSHIP_STATS: soak evidence, SCALE.md audits

@@ -62,7 +62,7 @@ def _restore_int_cols(df: pd.DataFrame, cols, schema_types) -> pd.DataFrame:
 
 def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
               by: str, on: str, left_cols: list[str],
-              right_cols: list[str], num_buckets: int | None = None,
+              right_cols: list[str],
               direction: str = "backward") -> "ray.data.Dataset":
     """As-of join ``left`` to ``right`` on ``by`` + time column ``on``.
 
@@ -74,8 +74,7 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     """
     from ..partitioning import bucket_fold, pd_table, spread_num_buckets
 
-    if num_buckets is None:
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     lsch, rsch = left.schema(), right.schema()
     types = dict(zip(lsch.names, lsch.types))
@@ -106,8 +105,8 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
 def range_join_count(left: "ray.data.Dataset", right: "ray.data.Dataset",
                      by: str, on: str, window: "np.timedelta64",
-                     left_cols: list[str], out_col: str = "n_in_window",
-                     num_buckets: int | None = None) -> "ray.data.Dataset":
+                     left_cols: list[str], out_col: str = "n_in_window"
+                     ) -> "ray.data.Dataset":
     """Range join as a count: for each left row, the number of right rows
     with the same key in ``(left.on, left.on + window]`` — the banded/
     range-join primitive (e.g. clicks within 60 s after each error).
@@ -120,8 +119,7 @@ def range_join_count(left: "ray.data.Dataset", right: "ray.data.Dataset",
     """
     from ..partitioning import bucket_fold, pd_table, spread_num_buckets
 
-    if num_buckets is None:
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     lsch = left.schema()
     types = dict(zip(lsch.names, lsch.types))

@@ -26,7 +26,13 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Min
 
-from ..partitioning import bucket_fold, pd_table
+from ..partitioning import (
+    bucket_fold,
+    join_segments,
+    pd_table,
+    segment_fold,
+    spread_num_buckets,
+)
 
 MERSENNE = (1 << 61) - 1
 FNV_BASIS = np.uint64(14695981039346656037)
@@ -94,8 +100,7 @@ def add_content_hash(batch: pa.Table, col: str = "text",
 
 
 def exact_dedup(ds: "ray.data.Dataset", col: str = "text",
-                id_col: str = "doc_id",
-                num_buckets: int | None = None) -> "ray.data.Dataset":
+                id_col: str = "doc_id") -> "ray.data.Dataset":
     """Keep the first (min id) row per distinct content, with its dupe
     count. Emit-once-per-key == the discovery receiver's LoadOrStore
     semantics, distributed.
@@ -105,10 +110,7 @@ def exact_dedup(ds: "ray.data.Dataset", col: str = "text",
     output block — measured ~2× faster at 1M mostly-unique keys than a
     sort-based ``groupby(content_hash)`` (the int32 bucket key sorts
     cheaper than the 64-bit hash, and the fold is one pandas pass)."""
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def partial(t: pa.Table) -> pa.Table:
         t = add_content_hash(t, col)
@@ -132,8 +134,7 @@ def exact_dedup(ds: "ray.data.Dataset", col: str = "text",
 
 
 def exact_dedup_rows(ds: "ray.data.Dataset", col: str = "text",
-                     id_col: str = "doc_id",
-                     num_buckets: int | None = None) -> "ray.data.Dataset":
+                     id_col: str = "doc_id") -> "ray.data.Dataset":
     """Full-row exact dedup: keep each distinct content's first (min-id) ROW
     — the form a training-data pipeline feeds downstream (exact_dedup keeps
     only winner ids + counts).
@@ -141,12 +142,9 @@ def exact_dedup_rows(ds: "ray.data.Dataset", col: str = "text",
     Shape: vectorized content hash per batch, per-batch local first-per-hash
     shrink, then ONE bucketed exchange (hash(content_hash) % B) with a
     vectorized per-block reduction — no per-content-group tasks, and full
-    text moves at most once. B is cluster-derived by default.
+    text moves at most once. B is cluster-derived.
     """
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def local_first(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col], kind="mergesort")
@@ -168,8 +166,8 @@ def exact_dedup_rows(ds: "ray.data.Dataset", col: str = "text",
 
 
 def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
-                            key_col: str = "conv_id", min_keys: int = 3,
-                            num_buckets: int | None = None) -> np.ndarray:
+                            key_col: str = "conv_id", min_keys: int = 3
+                            ) -> np.ndarray:
     """Content hashes of values appearing in ≥ ``min_keys`` DISTINCT keys —
     the C4-style boilerplate detector (a line/turn repeated across many
     pages/conversations is template noise, not signal).
@@ -181,10 +179,7 @@ def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
     and tiny by construction (threshold caps cardinality), so it is safe
     to collect and broadcast for the removal pass.
     """
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def pair_shrink(t: pa.Table) -> pa.Table:
         t = add_content_hash(t, col)
@@ -260,8 +255,8 @@ def _explode_segments(batch: pa.Table, sep: str, text_col: str,
 
 
 def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
-                    text_col: str = "text", id_col: str = "doc_id",
-                    num_buckets: int | None = None) -> "ray.data.Dataset":
+                    text_col: str = "text", id_col: str = "doc_id"
+                    ) -> "ray.data.Dataset":
     """Segment-level exact dedup with document reassembly — the C4 /
     RefinedWeb line-dedup step: split every document at a literal
     separator, keep each distinct segment's FIRST occurrence corpus-wide
@@ -279,10 +274,7 @@ def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
     text crosses the wire at most twice, already locally deduped; no
     driver materialization, no broadcast of the (corpus-sized) segment set.
     """
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def explode_shrink(t: pa.Table) -> pa.Table:
         segs = _explode_segments(t, sep, text_col, id_col)
@@ -308,17 +300,14 @@ def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
         db = g[id_col].to_numpy().astype(np.uint64) % num_buckets
         return g.assign(_db=db.astype(np.int32)).drop(columns=["_hb"])
 
-    def reassemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_col, "seg_idx"], kind="mergesort")
-        out = g.groupby(id_col, sort=False, as_index=False).agg(
-            text=("seg", sep.join), n_kept=("seg", "size"))
-        out["n_kept"] = out["n_kept"].astype(np.int64)
-        return out[[id_col, "text", "n_kept"]]
+    def reassemble(t: pa.Table) -> pa.Table:
+        return segment_fold(t, id_col, "seg_idx", "seg", sep) \
+            .rename_columns([id_col, "text", "n_kept"])
 
     winners = bucket_fold(
         ds.map_batches(explode_shrink, batch_format="pyarrow"),
         "_hb", elect_winner)
-    return bucket_fold(winners, "_db", reassemble)
+    return bucket_fold(winners, "_db", reassemble, batch_format="pyarrow")
 
 
 class MinHasher:
@@ -390,8 +379,7 @@ class MinHasher:
 
 
 def minhash_duplicate_groups(
-    ds: "ray.data.Dataset", id_col: str = "doc_id",
-    num_buckets: int | None = None, **kw
+    ds: "ray.data.Dataset", id_col: str = "doc_id", **kw
 ) -> "ray.data.Dataset":
     """LSH bucket groups with >1 member: (band, band_hash, min_id, size).
 
@@ -401,10 +389,7 @@ def minhash_duplicate_groups(
     vectorized fold per block (the exact_dedup pattern; measured ~4×
     faster than a sort groupby over the raw 16M-row band stream at 1M
     docs × 16 bands)."""
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
     bands = ds.map_batches(MinHasher,
                            fn_constructor_kwargs={"id_col": id_col, **kw},
                            batch_format="pyarrow", concurrency=(1, 16))
@@ -447,7 +432,6 @@ def shingle_hash_rows(batch: pa.Table, id_col: str = "doc_id",
 
 def candidate_pairs_from_bands(
     bands: "ray.data.Dataset", id_col: str = "doc_id",
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """(id, band, band_hash) rows → distinct candidate id pairs
     (doc_a < doc_b) from same-bucket LSH groups — the shared candidate
@@ -461,10 +445,7 @@ def candidate_pairs_from_bands(
     per-batch drop_duplicates shrink then ONE bucketed exchange — Ray's
     composite-key hash aggregate is ~20× slower at 10^5 pairs.
     """
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def add_pb(t: pa.Table) -> pa.Table:
         h = (t["band_hash"].to_numpy(zero_copy_only=False)
@@ -1077,8 +1058,6 @@ def _keep_best_distributed(
 
     import ray
 
-    from ..partitioning import pd_table, spread_num_buckets
-
     if num_partitions is None:
         num_partitions = max(1, int(
             ray.cluster_resources().get("CPU", 8)) // 8)
@@ -1212,7 +1191,6 @@ def _substring_confirm(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
 
 def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
                     text_col: str = "text", id_col: str = "doc_id",
-                    num_buckets: int | None = None,
                     max_broadcast_masks: int = 1_000_000,
                     ) -> "ray.data.Dataset":
     """Exact duplicated-SUBSTRING removal — the span-level ExactSubstr
@@ -1262,10 +1240,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
         # carries >=1 separator space; k=1 would also collapse to plain
         # token dedup, which exact_dedup already covers
         raise ValueError("substring_dedup requires k >= 2")
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
-
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def hash_partial(t: pa.Table) -> pa.Table:
         _, lens, flat = _flat_space_tokens(t, text_col, id_col)
@@ -1396,8 +1371,6 @@ def _mark_and_emit(id_arr: "pa.Array", ids: np.ndarray, lens: np.ndarray,
     (``g_start`` = window start indices, ``canon`` = canonical flags),
     then stitch each doc from its kept tokens. Docs losing every token
     are dropped (the SQL twin's GROUP BY over kept rows)."""
-    import pyarrow.compute as pc
-
     total = int(lens.sum())
     dropped = np.zeros(total, dtype=bool)
     if total and len(g_start):
@@ -1414,19 +1387,17 @@ def _mark_and_emit(id_arr: "pa.Array", ids: np.ndarray, lens: np.ndarray,
         dropped = cov_dup & ~cov_can
     doc_of = np.repeat(np.arange(len(lens)), lens)
     n_drop = np.bincount(doc_of[dropped], minlength=len(lens))
-    # each doc's kept tokens as one list row, joined in Arrow C++; docs
-    # that lost every token have no row
+    # each doc's kept tokens joined in Arrow C++ (the tokens are already
+    # in doc order, so only the join half of segment_fold runs); docs that
+    # lost every token have no row
     n_kept = lens - n_drop
     rows_d = np.flatnonzero(n_kept)
-    offsets = np.zeros(len(rows_d) + 1, dtype=np.int32)
-    np.cumsum(n_kept[rows_d], out=offsets[1:])
-    kept = pa.ListArray.from_arrays(pa.array(offsets),
-                                    flat.filter(pa.array(~dropped)))
+    starts = np.cumsum(n_kept[rows_d]) - n_kept[rows_d]
     id_type = id_arr.type if isinstance(id_arr, (pa.Array, pa.ChunkedArray)) \
         else pa.int64()
     return pa.table({
         id_col: pa.array(ids[rows_d], type=id_type),
-        text_col: pc.binary_join(kept, " ").cast(pa.string()),
+        text_col: join_segments(flat.filter(pa.array(~dropped)), starts, " "),
         "n_dropped": pa.array(n_drop[rows_d].astype(np.int64))})
 
 

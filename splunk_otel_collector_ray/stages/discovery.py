@@ -90,7 +90,6 @@ def discovery_status(
     ds: "ray.data.Dataset", rules: list[MatchRule],
     pattern_col: str = "body", endpoint_col: str = "conv_id",
     order_col: str = "turn_idx", receiver_id: str = "receiver",
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Configured discovery-status evaluation as one queryable component:
     first-match-wins over the Match table per record, then emit-once per
@@ -105,8 +104,7 @@ def discovery_status(
     """
     from ..partitioning import bucket_fold, spread_num_buckets
 
-    if num_buckets is None:
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
     statuses = np.array([r.status for r in rules], dtype=object)
     patterns = np.array([r.pattern for r in rules], dtype=object)
     messages = np.array([r.message for r in rules], dtype=object)

@@ -13,12 +13,14 @@ stateful cross-row parse, confined to per-conv groups).
 
 Scale shape: the stitch needs all fragments of a conversation co-located, but
 NOT one task per conversation. We bucket conversations (hash(conv) % B) and
-run ONE vectorized pandas stitch per bucket — B grouped tasks instead of
-millions, with everything inside the task done by groupby.cumsum /
-groupby.agg (no per-conv Python). Hot-key safety: a single conversation can't
-exceed a bucket, and B scales with the cluster. The corpus writer also keeps
-conversations within one input file, so a per-file variant needs no shuffle
-at all.
+run ONE Arrow pass per output block of the bucketed exchange
+(`partitioning.bucket_fold`): `partitioning.segment_fold` sorts by
+(conv, turn), numbers records with a per-conversation prefix sum of the flag
+and joins each record's lines with `ListArray` + `pc.binary_join` — B grouped
+tasks instead of millions, and no pandas or per-conv Python in the fold.
+Hot-key safety: a single conversation can't exceed a bucket, and B scales
+with the cluster. The corpus writer also keeps conversations within one
+input file, so a per-file variant needs no shuffle at all.
 
 Record identity (shared with the DuckDB oracle): within a conv's fragment
 stream ordered by turn_idx, ``record_id = count of PRIOR last-entries`` —
@@ -26,7 +28,10 @@ an exclusive prefix sum of the is_last flag.
 
 Also here: the `multiline` framing config of filelog
 (logs_config_linux.yaml:95-97,312-315) — splitting a text blob into records
-at line_start_pattern boundaries — as a vectorized kernel.
+at line_start_pattern boundaries — on the same fold.
+
+A null line reads as ``""``: it never matches a flag, joins as empty and
+still counts in ``n_fragments`` / ``n_lines`` (ParseStage's null rule).
 """
 
 from __future__ import annotations
@@ -36,68 +41,64 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
-def _stitch_buckets() -> int:
-    from ..partitioning import spread_num_buckets
+from ..partitioning import bucket_fold, segment_fold, spread_num_buckets
 
-    return spread_num_buckets()
-
-
-def _stitch_frame(g: pd.DataFrame, body_col: str, key: str, order: str
-                  ) -> pd.DataFrame:
-    """Vectorized stitch of MANY conversations at once (one bucket)."""
-    g = g.sort_values([key, order], kind="mergesort")
-    is_last = g[body_col].str.endswith("\n").fillna(False)
-    # exclusive per-conv prefix sum of is_last == record id
-    rid = is_last.groupby(g[key], sort=False).cumsum() - is_last.astype(int)
-    g = g.assign(record_id=rid.astype(np.int64), _last=is_last)
-    out = (
-        g.groupby([key, "record_id"], sort=True)
-        .agg(body=(body_col, "".join), n_fragments=(body_col, "size"),
-             is_complete=("_last", "last"))
-        .reset_index()
-        .rename(columns={key: "conv_id"})
-    )
-    return out[["conv_id", "record_id", "body", "n_fragments", "is_complete"]]
+KEY, ORDER = "conv_id", "turn_idx"
 
 
-def recombine_fragments(
-    ds: "ray.data.Dataset",
-    body_col: str = "body",
-    key: str = "conv_id",
-    order: str = "turn_idx",
-    num_buckets: int | None = None,
-) -> "ray.data.Dataset":
+def _bucketed(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
+    """Keep (conv_id, turn_idx, ``col``) and tag each row with its
+    conversation's ``_bucket`` — the exchange key of both folds."""
+    num_buckets = spread_num_buckets()
+
+    def tag(t: pa.Table) -> pa.Table:
+        h = pd.util.hash_array(
+            t[KEY].to_pandas().to_numpy(dtype=object)) % num_buckets
+        return t.select([KEY, ORDER, col]).append_column(
+            "_bucket", pa.array(h.astype(np.int32)))
+
+    return ds.map_batches(tag, batch_format="pyarrow")
+
+
+def stitch_records(t: pa.Table, body_col: str = "body") -> pa.Table:
+    """Stitch MANY conversations' fragments at once (one block): records
+    close at a fragment ending in a newline (exclusive numbering)."""
+    out = segment_fold(t, KEY, ORDER, body_col, "",
+                       flag=pc.ends_with(t[body_col], "\n"), exclusive=True)
+    out = out.rename_columns(["conv_id", "record_id", "body", "n_fragments"])
+    # a record is complete iff its last fragment (hence its body) ends
+    # the line — earlier fragments never do, or the record would end there
+    return out.append_column("is_complete", pc.ends_with(out["body"], "\n"))
+
+
+def recombine_fragments(ds: "ray.data.Dataset", body_col: str = "body"
+                        ) -> "ray.data.Dataset":
     """Stitch fragment rows into records: one output row per record with
     columns (conv_id, record_id, body, n_fragments, is_complete)."""
-    if num_buckets is None:
-        num_buckets = _stitch_buckets()
+    return bucket_fold(_bucketed(ds, body_col), "_bucket",
+                       lambda t: stitch_records(t, body_col),
+                       batch_format="pyarrow")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            t[key].to_pandas().to_numpy(dtype=object)) % num_buckets
-        return t.append_column("_bucket", pa.array(h.astype(np.int32)))
 
-    def stitch_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return _stitch_frame(g, body_col, key, order)
-
-    from ..partitioning import bucket_fold
-
-    return bucket_fold(
-        ds.select_columns([key, order, body_col])
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        "_bucket", stitch_bucket)
+def frame_lines(t: pa.Table, pattern: str, text_col: str = "body",
+                exclusive: bool = False) -> pa.Table:
+    """Frame MANY conversations' lines at once (one block): record_id is
+    the inclusive (start-anchored) or exclusive (end-anchored) per-source
+    prefix sum of the ``pattern`` match."""
+    out = segment_fold(t, KEY, ORDER, text_col, "\n",
+                       flag=pc.match_substring_regex(t[text_col], pattern),
+                       exclusive=exclusive)
+    return out.rename_columns(["conv_id", "record_id", "body", "n_lines"])
 
 
 def multiline_frame(
     ds: "ray.data.Dataset",
     line_start_pattern: str | None = None,
     text_col: str = "body",
-    key: str = "conv_id",
-    order: str = "turn_idx",
-    num_buckets: int | None = None,
     line_end_pattern: str | None = None,
 ) -> "ray.data.Dataset":
     """filelog `multiline` framing as a DATASET operator
@@ -117,56 +118,21 @@ def multiline_frame(
       matches collapse each source to ONE record — the whole-blob framing
       the reference configures that way.
 
-    Same scale shape as recombine: the flag is ONE vectorized RE2 pass in
-    map_batches; conversations are hash-bucketed and each bucket is framed
-    in one pandas groupby pass (shared with the DuckDB oracle's
-    window-function construction).
+    Same scale shape as recombine: conversations are hash-bucketed and
+    each output block is framed by one :func:`frame_lines` call (one RE2
+    pass for the flag, then `segment_fold`; the same numbering as the
+    DuckDB oracle's window-function construction).
     Output: (conv_id, record_id, body = lines joined with newline, n_lines).
     """
     if (line_start_pattern is None) == (line_end_pattern is None):
         raise ValueError("exactly one of line_start_pattern / "
                          "line_end_pattern must be given")
-    if num_buckets is None:
-        num_buckets = _stitch_buckets()
-    pattern = line_start_pattern or line_end_pattern
     exclusive = line_end_pattern is not None
-
-    def tag(t: pa.Table) -> pa.Table:
-        flag = pa.compute.match_substring_regex(t[text_col], pattern)
-        h = pd.util.hash_array(
-            t[key].to_pandas().to_numpy(dtype=object)) % num_buckets
-        return (t.select([key, order, text_col])
-                .append_column("_flag", flag)
-                .append_column("_bucket", pa.array(h.astype(np.int32))))
-
-    def frame_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return _frame_lines(g, text_col, key, order, exclusive)
-
-    from ..partitioning import bucket_fold
-
-    return bucket_fold(ds.map_batches(tag, batch_format="pyarrow"),
-                       "_bucket", frame_bucket)
-
-
-def _frame_lines(g: pd.DataFrame, text_col: str, key: str, order: str,
-                 exclusive: bool = False) -> pd.DataFrame:
-    """Vectorized framing of MANY conversations at once (one bucket);
-    ``_flag`` is the precomputed line_start/line_end match. record_id is
-    the inclusive (start-anchored) or exclusive (end-anchored) per-source
-    prefix sum of the flag."""
-    g = g.sort_values([key, order], kind="mergesort")
-    f = g["_flag"].astype(np.int64)
-    rid = f.groupby(g[key], sort=False).cumsum()
-    if exclusive:
-        rid = rid - f
-    g = g.assign(record_id=rid.astype(np.int64))
-    out = (
-        g.groupby([key, "record_id"], sort=True)
-        .agg(body=(text_col, "\n".join), n_lines=(text_col, "size"))
-        .reset_index()
-        .rename(columns={key: "conv_id"})
-    )
-    return out[["conv_id", "record_id", "body", "n_lines"]]
+    pattern = line_end_pattern if exclusive else line_start_pattern
+    return bucket_fold(
+        _bucketed(ds, text_col), "_bucket",
+        lambda t: frame_lines(t, pattern, text_col, exclusive),
+        batch_format="pyarrow")
 
 
 def split_multiline(text: str, line_start_pattern: str | None = None,

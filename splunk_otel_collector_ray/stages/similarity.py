@@ -590,7 +590,7 @@ def semdedup(
     ds: "ray.data.Dataset", threshold: float = 0.45,
     vec_col: str = "embedding", id_col: str = "vec_id",
     cluster_col: "str | None" = None, keep_rule: str = "id",
-    k: int = 8, iters: int = 5, num_buckets: int | None = None,
+    k: int = 8, iters: int = 5,
 ) -> "ray.data.Dataset":
     """SemDeDup (Abbas et al. 2023, public): partition the embedding space
     into clusters, then near-duplicate-dedup WITHIN each cluster only —
@@ -621,8 +621,7 @@ def semdedup(
 
     from ..partitioning import bucket_fold, spread_num_buckets
 
-    if num_buckets is None:
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
     out_cluster = cluster_col or "cluster"
 
     sch = ds.schema()

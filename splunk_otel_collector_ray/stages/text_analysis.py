@@ -499,23 +499,17 @@ def c4_line_filter(
     Scale shape: every rule is LINE- or DOC-local, so unlike
     ``dedup.paragraph_dedup`` (whose winner election is global) this is a
     single ``map_batches`` pass — vectorized explode, RE2 line predicates,
-    batch-local pandas regroup — with no exchange at all; at 100 TB it
-    runs embarrassingly parallel behind the read."""
+    batch-local ``segment_fold`` regroup — with no exchange at all; at
+    100 TB it runs embarrassingly parallel behind the read."""
     import pyarrow.compute as _pc
 
+    from ..partitioning import segment_fold
     from .dedup import _explode_segments
 
     def per_batch(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            id_col: pa.array([], t[id_col].type),
-            "text": pa.array([], pa.string()),
-            "n_lines": pa.array([], pa.int64()),
-            "n_kept": pa.array([], pa.int64())})
         if drop_brace_docs:
             t = t.filter(_pc.invert(_pc.match_substring(
                 _pc.fill_null(t[text_col], ""), "{")))
-        if t.num_rows == 0:
-            return empty
         segs = _explode_segments(t, sep, text_col, id_col)
         seg = segs["seg"]
         if isinstance(seg, pa.ChunkedArray):
@@ -528,25 +522,15 @@ def c4_line_filter(
         if require_terminal_punct:
             ok &= _pc.match_substring_regex(seg, r"[.!?\"]$") \
                 .to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            id_col: segs[id_col].to_numpy(zero_copy_only=False),
-            "seg_idx": segs["seg_idx"].to_numpy(zero_copy_only=False),
-            "seg": seg.to_pandas(), "ok": ok})
-        out = df.groupby(id_col, sort=True, as_index=False).agg(
-            n_lines=("ok", "size"), n_kept=("ok", "sum"))
-        kept = df[df["ok"]].sort_values([id_col, "seg_idx"],
-                                        kind="mergesort")
-        txt = kept.groupby(id_col, sort=True, as_index=False).agg(
-            text=("seg", sep.join))
-        out = out.merge(txt, on=id_col, how="inner")
-        out = out[out["n_kept"] >= min_kept_lines]
-        if not len(out):
-            return empty
-        out["n_lines"] = out["n_lines"].astype(np.int64)
-        out["n_kept"] = out["n_kept"].astype(np.int64)
-        from ..partitioning import pd_table
-
-        return pd_table(out[[id_col, "text", "n_lines", "n_kept"]])
+        kept = segment_fold(segs.filter(pa.array(ok, type=pa.bool_())),
+                            id_col, "seg_idx", "seg", sep)
+        # each kept doc's line count, kept or not
+        lines = _pc.value_counts(segs[id_col])
+        n_lines = lines.field("counts").take(
+            _pc.index_in(kept[id_col], value_set=lines.field("values")))
+        out = pa.table({id_col: kept[id_col], "text": kept["seg"],
+                        "n_lines": n_lines, "n_kept": kept["n"]})
+        return out.filter(_pc.greater_equal(out["n_kept"], min_kept_lines))
 
     return ds.map_batches(per_batch, batch_format="pyarrow")
 
@@ -554,7 +538,6 @@ def c4_line_filter(
 def repeated_ngram_stats(
     ds: "ray.data.Dataset", n: int = 8, min_docs: int = 2,
     text_col: str = "text", id_col: str = "doc_id",
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Corpus-level duplication signal per doc: of its DISTINCT word
     ``n``-grams, how many also appear in at least ``min_docs`` distinct
@@ -575,8 +558,7 @@ def repeated_ngram_stats(
 
     from ..partitioning import spread_num_buckets
 
-    if num_buckets is None:
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def pair_shrink(t: pa.Table) -> pa.Table:
         h, doc = _token_ngram_hashes(t[text_col], n)
@@ -757,7 +739,7 @@ def tfidf_top_terms(
 
 def inverted_index(
     ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: str = "text",
-    min_df: int = 2, num_buckets: int | None = None,
+    min_df: int = 2,
 ) -> "ray.data.Dataset":
     """Distributed inverted index: token → (df, ascending posting list) —
     the search-index build step over a document corpus.
@@ -770,10 +752,9 @@ def inverted_index(
     comma-joined ids ascending — deterministic, replayed by
     ``STRING_AGG(… ORDER BY …)`` in the oracle twin.
     """
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
+    from ..partitioning import spread_num_buckets
 
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     pairs = ds.map_batches(
         lambda t: _tf_pairs(t, id_col, text_col).select([id_col, "token"]),

@@ -90,7 +90,6 @@ def sliding_counts(
 def session_windows(
     ds: "ray.data.Dataset", key: str, ts_col: str = "ts",
     gap_s: int = 600, order_col: str | None = None,
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Gap-based sessions per key: (key, session_id, session_start, n).
 
@@ -98,10 +97,9 @@ def session_windows(
     are co-located via hash buckets (cluster-derived count) and processed
     in one vectorized pass.
     """
-    if num_buckets is None:
-        from ..partitioning import spread_num_buckets
+    from ..partitioning import spread_num_buckets
 
-        num_buckets = spread_num_buckets()
+    num_buckets = spread_num_buckets()
 
     def add_bucket(t: pa.Table) -> pa.Table:
         kv = t[key].to_pandas().to_numpy()

@@ -15,8 +15,8 @@ from splunk_otel_collector_ray.stages.metrics import (
     rename_dimensions,
 )
 from splunk_otel_collector_ray.stages.recombine import (
-    _stitch_frame,
     split_multiline,
+    stitch_records,
 )
 
 
@@ -117,15 +117,18 @@ def test_multiline_frame_dataset(ray_session):
     # leading lines before the first anchor form record 0
     assert out.record_id.tolist() == [1, 2, 0, 1]
     assert out.n_lines.tolist() == [2, 2, 1, 1]
+    # an empty start pattern matches every line: one record per line
+    every = multiline_frame(ray.data.from_arrow(t), "").to_pandas()
+    assert len(every) == t.num_rows and set(every.n_lines) == {1}
 
 
 def test_stitch_frame_vectorized():
-    g = pd.DataFrame({
+    g = pa.table({
         "conv_id": ["a", "a", "a", "b", "b"],
         "turn_idx": [0, 1, 2, 0, 1],
         "body": ["x", "y\n", "z\n", "p", "q"],  # conv b never completes
     })
-    out = _stitch_frame(g, "body", "conv_id", "turn_idx")
+    out = stitch_records(g).to_pandas()
     assert out.body.tolist() == ["xy\n", "z\n", "pq"]
     assert out.n_fragments.tolist() == [2, 1, 2]
     assert out.is_complete.tolist() == [True, True, False]
@@ -289,6 +292,36 @@ def test_split_multiline_end_pattern_and_never_match():
         split_multiline(blob)
     with _pytest.raises(ValueError):
         split_multiline(blob, line_start_pattern="a", line_end_pattern="b")
+
+
+def test_null_line_reads_as_empty(ray_session):
+    """A null fragment/line reads as "": it never matches the flag (not
+    even a pattern that matches the empty string), joins as empty and still
+    counts in n_fragments / n_lines."""
+    import ray.data
+
+    from splunk_otel_collector_ray.stages.recombine import (
+        multiline_frame,
+        recombine_fragments,
+    )
+
+    t = pa.table({
+        "conv_id": ["a", "a", "a", "b", "b"],
+        "turn_idx": pa.array([0, 1, 2, 0, 1], type=pa.int32()),
+        "text": ["x", None, "y\n", None, ""],
+    })
+    rec = recombine_fragments(ray.data.from_arrow(t), body_col="text") \
+        .to_pandas().sort_values(["conv_id", "record_id"])
+    assert rec["body"].tolist() == ["xy\n", ""]
+    assert rec["n_fragments"].tolist() == [3, 2]
+    assert rec["is_complete"].tolist() == [True, False]
+    # "^$" matches the empty line of conv b but not its null line
+    fr = multiline_frame(ray.data.from_arrow(t), r"^$", text_col="text") \
+        .to_pandas().sort_values(["conv_id", "record_id"])
+    assert fr["conv_id"].tolist() == ["a", "b", "b"]
+    assert fr["record_id"].tolist() == [0, 0, 1]
+    assert fr["body"].tolist() == ["x\n\ny\n", "", ""]
+    assert fr["n_lines"].tolist() == [3, 1, 1]
 
 
 def test_multiline_frame_end_pattern_dataset(ray_session):

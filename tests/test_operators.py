@@ -479,7 +479,7 @@ def test_asof_join(ray_session):
         {"k": 1, "t": 18, "rid": 901},
     ])
     out = asof_join(left, right, by="k", on="t", left_cols=["lid"],
-                    right_cols=["rid"], num_buckets=4).to_pandas()
+                    right_cols=["rid"]).to_pandas()
     got = {int(r.lid): (None if pd.isna(r.rid) else int(r.rid))
            for r in out.itertuples()}
     assert got == {100: 900, 101: 901, 102: None, 103: None}

@@ -166,3 +166,50 @@ def test_bucket_fold_never_splits_a_bucket(ray_session, seed, n_blocks,
     got = out.set_index("bucket").sort_index()
     assert (got["n"] == truth["n"]).all() and (got["s"] == truth["s"]).all()
     assert len(got) == len(truth)
+
+
+def test_segment_fold_edge_cases():
+    """segment_fold at its edges: an empty table keeps the output schema;
+    single-row keys; a flag on every row; no flag at all (key segments
+    only); rows arrive out of order and null values join as ""."""
+    import pyarrow as pa
+
+    from splunk_otel_collector_ray.partitioning import segment_fold
+
+    t = pa.table({"k": ["b", "a", "c", "a", "a"],
+                  "o": pa.array([0, 2, 0, 0, 1], type=pa.int32()),
+                  "v": ["b0", "a2", None, "a0", "a1"]})
+    flag = pa.array([True] * 5)
+
+    empty = segment_fold(t.slice(0, 0), "k", "o", "v", "|",
+                         flag=flag.slice(0, 0))
+    assert empty.num_rows == 0
+    assert empty.schema == pa.schema([
+        ("k", pa.string()), ("record_id", pa.int64()),
+        ("v", pa.string()), ("n", pa.int64())])
+    assert segment_fold(t.slice(0, 0), "k", "o", "v").schema.names == \
+        ["k", "v", "n"]
+
+    # no flag: one segment per key, in key order, values in `o` order
+    out = segment_fold(t, "k", "o", "v", "|").to_pydict()
+    assert out == {"k": ["a", "b", "c"], "v": ["a0|a1|a2", "b0", ""],
+                   "n": [3, 1, 1]}
+
+    # a flag on every row: every row is its own record, numbered per key
+    # from 1 (inclusive) or 0 (exclusive)
+    for exclusive, first in ((False, 1), (True, 0)):
+        out = segment_fold(t, "k", "o", "v", "|", flag=flag,
+                           exclusive=exclusive).to_pydict()
+        assert out["k"] == ["a", "a", "a", "b", "c"]
+        assert out["record_id"] == [first, first + 1, first + 2, first,
+                                    first]
+        assert out["v"] == ["a0", "a1", "a2", "b0", ""]
+        assert out["n"] == [1] * 5
+
+    # a flag on no row (null counts as False): one record 0 per key
+    none = pa.array([False, None, False, False, False])
+    for exclusive in (False, True):
+        out = segment_fold(t, "k", "o", "v", "", flag=none,
+                           exclusive=exclusive).to_pydict()
+        assert out == {"k": ["a", "b", "c"], "record_id": [0, 0, 0],
+                       "v": ["a0a1a2", "b0", ""], "n": [3, 1, 1]}

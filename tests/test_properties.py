@@ -3,22 +3,32 @@ invariants that fixture corpora can't sweep exhaustively."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splunk_otel_collector_ray.functions.severity import SEVERITY_NUMBER
 from splunk_otel_collector_ray.stages.recombine import (
-    _stitch_frame,
+    frame_lines,
     split_multiline,
+    stitch_records,
 )
+
+
+def _shuffled(g: pd.DataFrame, rnd) -> pa.Table:
+    """``g`` as an Arrow table in a random row order — the folds must not
+    depend on the order rows reach them in."""
+    order = list(range(len(g)))
+    rnd.shuffle(order)
+    return pa.Table.from_pandas(g.iloc[order], preserve_index=False)
 
 frag = st.text(alphabet="abc ", min_size=0, max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(frag, st.booleans()), min_size=1, max_size=30),
-       st.integers(min_value=1, max_value=3))
-def test_stitch_preserves_content_and_boundaries(frags, n_convs):
+       st.integers(min_value=1, max_value=3), st.randoms())
+def test_stitch_preserves_content_and_boundaries(frags, n_convs, rnd):
     """Concatenation invariant: per conversation, joining the stitched
     records reproduces the joined fragments; every non-final record ends in
     exactly one trailing newline boundary."""
@@ -27,7 +37,7 @@ def test_stitch_preserves_content_and_boundaries(frags, n_convs):
         conv = f"c{i % n_convs}"
         rows.append((conv, i, body + ("\n" if last else "")))
     g = pd.DataFrame(rows, columns=["conv_id", "turn_idx", "body"])
-    out = _stitch_frame(g, "body", "conv_id", "turn_idx")
+    out = stitch_records(_shuffled(g, rnd)).to_pandas()
     for conv, sub in g.groupby("conv_id"):
         rec = out[out.conv_id == conv].sort_values("record_id")
         assert "".join(rec.body) == "".join(sub.sort_values("turn_idx").body)
@@ -55,22 +65,17 @@ def test_split_multiline_roundtrip(lines):
 @given(st.lists(
     st.tuples(st.booleans(), st.text(alphabet="xyz ", min_size=1, max_size=8)),
     min_size=1, max_size=25),
-    st.integers(min_value=1, max_value=3))
-def test_multiline_frame_agrees_with_split_multiline(lines, n_convs):
+    st.integers(min_value=1, max_value=3), st.randoms())
+def test_multiline_frame_agrees_with_split_multiline(lines, n_convs, rnd):
     """The dataset-level framing kernel must agree with the scalar
     split_multiline on each conversation's joined text (same anchors,
     records joined by newline reproduce the per-conv line stream)."""
-    import re
-
-    from splunk_otel_collector_ray.stages.recombine import _frame_lines
-
     rows = []
     for i, (start, body) in enumerate(lines):
         rows.append((f"c{i % n_convs}", i,
                      ("REC " if start else "cont ") + body))
     g = pd.DataFrame(rows, columns=["conv_id", "turn_idx", "body"])
-    g["_flag"] = g["body"].str.match(r"REC ")
-    out = _frame_lines(g, "body", "conv_id", "turn_idx")
+    out = frame_lines(_shuffled(g, rnd), r"^REC ").to_pandas()
     for conv, sub in g.groupby("conv_id"):
         rec = out[out.conv_id == conv].sort_values("record_id")
         text = "".join(line + "\n" for line in sub.sort_values("turn_idx").body)
@@ -139,13 +144,10 @@ def test_multiline_end_framing_roundtrip(gaps):
     ends with an end-match."""
     import re
 
-    from splunk_otel_collector_ray.stages.recombine import _frame_lines
-
     lines = [("end;" if g % 3 == 0 else f"line{g}") for g in gaps]
-    g = pd.DataFrame({"conv_id": "c", "turn_idx": range(len(lines)),
-                      "body": lines})
-    g["_flag"] = g["body"].str.contains(r";$", regex=True)
-    out = _frame_lines(g, "body", "conv_id", "turn_idx", exclusive=True)
+    t = pa.table({"conv_id": ["c"] * len(lines),
+                  "turn_idx": list(range(len(lines))), "body": lines})
+    out = frame_lines(t, r";$", exclusive=True).to_pandas()
     out = out.sort_values("record_id")
     assert "\n".join(out.body) == "\n".join(lines)
     for rec in out.body.tolist()[:-1]:
