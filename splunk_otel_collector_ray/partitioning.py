@@ -145,8 +145,8 @@ def segment_fold(t: pa.Table, key: str, order: str, value: str,
     by a prefix sum of the flag that restarts at every key: INCLUSIVE
     (a record starts at a flagged row; rows before the first flag form
     record 0) or, with ``exclusive``, EXCLUSIVE (a record ends at, and
-    includes, a flagged row). A null value joins as ``""`` and a null flag
-    is False. Bucket-agnostic and vectorized: one stable Arrow sort, NumPy
+    includes, a flagged row). A null value joins as ``""``, a null flag
+    is False and null keys form one segment, sorted last. Bucket-agnostic and vectorized: one stable Arrow sort, NumPy
     boundary and prefix-sum arrays, one :func:`join_segments`.
 
     Returns one row per segment in ``(key, record)`` order with columns
@@ -157,14 +157,12 @@ def segment_fold(t: pa.Table, key: str, order: str, value: str,
     idx = pc.sort_indices(t, sort_keys=[(key, "ascending"),
                                         (order, "ascending")])
     keys = t[key].take(idx).combine_chunks()
+    a, b = keys[1:], keys[:-1]
+    # null == null is no change; null against a value is one
+    changed = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                     pc.xor(pc.is_null(a), pc.is_null(b)))
     starts = np.ones(len(keys), dtype=bool)
-    if len(keys) > 1:
-        a, b = keys[1:], keys[:-1]
-        # null == null is no change; null against a value is one
-        changed = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
-                         pc.xor(pc.is_null(a), pc.is_null(b)))
-        starts[1:] = changed.to_numpy(zero_copy_only=False)
-    out = {}
+    starts[1:] = changed.to_numpy(zero_copy_only=False)
     if flag is not None:
         f = pc.fill_null(flag, False).take(idx).to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -176,7 +174,7 @@ def segment_fold(t: pa.Table, key: str, order: str, value: str,
             rid -= f
         starts[1:] |= rid[1:] != rid[:-1]
     pos = np.flatnonzero(starts)
-    out[key] = keys.take(pa.array(pos))
+    out = {key: keys.take(pa.array(pos))}
     if flag is not None:
         out["record_id"] = pa.array(rid[pos], type=pa.int64())
     out[value] = join_segments(pc.fill_null(t[value], "").take(idx), pos, sep)

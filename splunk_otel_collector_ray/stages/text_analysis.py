@@ -522,8 +522,8 @@ def c4_line_filter(
         if require_terminal_punct:
             ok &= _pc.match_substring_regex(seg, r"[.!?\"]$") \
                 .to_numpy(zero_copy_only=False)
-        kept = segment_fold(segs.filter(pa.array(ok, type=pa.bool_())),
-                            id_col, "seg_idx", "seg", sep)
+        kept = segment_fold(segs.filter(pa.array(ok)), id_col, "seg_idx",
+                            "seg", sep)
         # each kept doc's line count, kept or not
         lines = _pc.value_counts(segs[id_col])
         n_lines = lines.field("counts").take(

@@ -171,7 +171,8 @@ def test_bucket_fold_never_splits_a_bucket(ray_session, seed, n_blocks,
 def test_segment_fold_edge_cases():
     """segment_fold at its edges: an empty table keeps the output schema;
     single-row keys; a flag on every row; no flag at all (key segments
-    only); rows arrive out of order and null values join as ""."""
+    only); rows arrive out of order, null values join as "" and null keys
+    form one segment of their own."""
     import pyarrow as pa
 
     from splunk_otel_collector_ray.partitioning import segment_fold
@@ -205,6 +206,11 @@ def test_segment_fold_edge_cases():
                                     first]
         assert out["v"] == ["a0", "a1", "a2", "b0", ""]
         assert out["n"] == [1] * 5
+
+    nulls = pa.table({"k": ["a", None, None], "o": [0, 1, 0],
+                      "v": ["a0", "n1", "n0"]})
+    assert segment_fold(nulls, "k", "o", "v", "|").to_pydict() == {
+        "k": ["a", None], "v": ["a0", "n0|n1"], "n": [1, 2]}
 
     # a flag on no row (null counts as False): one record 0 per key
     none = pa.array([False, None, False, False, False])
