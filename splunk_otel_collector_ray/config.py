@@ -227,30 +227,22 @@ def build_pipeline(spec: dict[str, Any]) -> "ray.data.Dataset":
     elif "kafka_dump" in src:
         # kafka receiver analogue: topic-dump JSONL + optional committed
         # consumer-group offsets (restart-resume semantics)
-        from .sources.kafka import load_offsets, read_kafka_dump
+        from .sources.kafka import read_kafka_dump
 
-        committed = src.get("committed")
-        if isinstance(committed, str):  # offsets state file path
-            committed = load_offsets(committed)
-        ds = read_kafka_dump(src["kafka_dump"], committed=committed)
+        ds = read_kafka_dump(src["kafka_dump"], committed=src.get("committed"))
     elif "eventhub_capture" in src:
         # azureeventhub receiver analogue: Capture dump + optional
         # per-partition sequence checkpoint (Event Processor resume)
-        from .sources.eventhub import load_checkpoint, read_eventhub_capture
+        from .sources.eventhub import read_eventhub_capture
 
-        ckpt = src.get("checkpoint")
-        if isinstance(ckpt, str):  # checkpoint-store state file path
-            ckpt = load_checkpoint(ckpt)
-        ds = read_eventhub_capture(src["eventhub_capture"], checkpoint=ckpt)
+        ds = read_eventhub_capture(src["eventhub_capture"],
+                                   checkpoint=src.get("checkpoint"))
     elif "pulsar_dump" in src:
         # pulsar receiver analogue: partition dump + optional subscription
         # cursor state dir (markDelete + individually-deleted resume)
-        from .sources.pulsar import load_cursor, read_pulsar_dump
+        from .sources.pulsar import read_pulsar_dump
 
-        cur = src.get("cursor")
-        if isinstance(cur, str):  # cursor state directory
-            cur = load_cursor(cur)
-        ds = read_pulsar_dump(src["pulsar_dump"], cursor=cur)
+        ds = read_pulsar_dump(src["pulsar_dump"], cursor=src.get("cursor"))
     elif "solace_dump" in src:
         # solace receiver analogue: broker-telemetry queue dump →
         # trace spans + optional settled-message state dir (the

@@ -26,22 +26,24 @@ names (``Body`` / ``SequenceNumber`` / ``Offset`` / ``EnqueuedTimeUtc``
 id in the blob path — this dump carries it as ``PartitionId``, and no
 Avro lib ships in this container). Envelope fields decode vectorized;
 the per-event ``Body`` JSON parse is the wire-codec edge (same as
-fluent/OTLP/kafka payload decoding). Checkpoints are folded from the
-stream with ``partitioning.small_fold`` (≤ #partitions rows ever reach
-the driver) and committed atomically.
+fluent/OTLP/kafka payload decoding). The checkpoint commit, the resume
+filter and the producer's file layout are ``wire``'s per-partition mark
+and producer helpers, shared with kafka and pulsar; this module keeps
+the event encoding and the producer's per-partition event order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-import tempfile
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import wire
 from .wire import iso_us as _iso_us
+from .wire import load_marks as load_checkpoint
 from .wire import repeat_per, ts_us
 
 EVENTHUB_PARTITIONS = 4
@@ -129,120 +131,59 @@ def decode_eventhub_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def read_eventhub_capture(path: str,
-                          checkpoint: dict[int, int] | None = None
+def read_eventhub_capture(path: str, checkpoint: "str | None" = None
                           ) -> "ray.data.Dataset":
-    """Read a Capture dump; with ``checkpoint`` (partition → last
-    processed SequenceNumber), emit only records of events strictly
-    AFTER the mark — the restarted-processor semantics. The filter is
-    vectorized per batch against a tiny broadcast mark array."""
+    """Read a Capture dump; with ``checkpoint`` (the checkpoint file
+    :func:`checkpoint_sequences` writes), emit only records of events
+    strictly AFTER each partition's checkpointed SequenceNumber — the
+    restarted-processor semantics."""
     import ray.data
 
     out = ray.data.read_json(path, file_extensions=["jsonl"]).map_batches(
         decode_eventhub_batch, batch_format="pyarrow")
-    if not checkpoint:
-        return out
-    max_p = max(checkpoint) + 1
-    marks = np.full(max_p, -1, dtype=np.int64)
-    for p, seq in checkpoint.items():
-        marks[p] = seq
-
-    def skip_processed(t: pa.Table) -> pa.Table:
-        part = t["partition"].to_numpy(zero_copy_only=False)
-        seq = t["sequence_number"].to_numpy(zero_copy_only=False)
-        keep = np.where(part < max_p,
-                        seq > marks[np.clip(part, 0, max_p - 1)], True)
-        return t.filter(pa.array(keep))
-
-    return out.map_batches(skip_processed, batch_format="pyarrow")
+    return wire.drop_marked(out, load_checkpoint(checkpoint),
+                            lambda t: (t["partition"], t["sequence_number"]))
 
 
 def checkpoint_sequences(state_path: str, ds: "ray.data.Dataset"
                          ) -> dict[int, int]:
-    """Fold the processed stream to per-partition max sequence numbers
-    and commit atomically (tmp + rename) — the checkpoint-store update.
-    Partials shrink to ≤ #partitions rows; commits are monotone."""
-    from ..partitioning import small_fold
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.select(["partition", "sequence_number"]).group_by(
-            "partition").aggregate([("sequence_number", "max")])
-        return g.rename_columns(["partition", "sequence_number"])
-
-    hw = small_fold(
-        ds.map_batches(partial, batch_format="pyarrow"), partial).to_pandas()
-    marks = ({int(p): int(s)
-              for p, s in zip(hw["partition"], hw["sequence_number"])}
-             if "partition" in hw.columns else {})  # empty stream (e.g.
-    #            a restarted processor re-committing with no new events)
-    #            folds to a schemaless frame — commit is then a no-op
-    prev = load_checkpoint(state_path)
-    for p, s in prev.items():
-        marks[p] = max(marks.get(p, -1), s)
-    os.makedirs(os.path.dirname(state_path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(state_path) or ".")
-    with os.fdopen(fd, "w") as f:
-        json.dump({str(p): s for p, s in marks.items()}, f)
-    os.replace(tmp, state_path)
-    return marks
+    """Commit the processed stream's per-partition max sequence numbers
+    to ``state_path`` — the checkpoint-store update (monotone, atomic; an
+    empty stream keeps the prior checkpoint) — and return them."""
+    return wire.commit_marks(state_path, ds, "sequence_number")
 
 
-def load_checkpoint(state_path: str) -> dict[int, int]:
-    if not os.path.exists(state_path):
-        return {}
-    with open(state_path) as f:
-        return {int(p): int(s) for p, s in json.load(f).items()}
+def _encode_partition(p: int, rows: pa.Table) -> "list[str]":
+    """One partition's Capture lines: one event per partition key, keys
+    in order, records in ``turn_idx`` order; SequenceNumber counts events
+    from 0 and ``EnqueuedTimeUtc`` is the event's earliest record time."""
+    rows = rows.sort_by([("partition_key", "ascending"),
+                         ("turn_idx", "ascending")])
+    ts = pc.cast(rows["ts"], pa.int64()).to_pylist()
+    d = rows.select(["partition_key", "category", "operation_name", "level",
+                     "turn_idx", "body", "resource_id"]).to_pydict()
+    lines = []
+    for seq, (conv, idx) in enumerate(itertools.groupby(
+            range(rows.num_rows), d["partition_key"].__getitem__)):
+        idx = list(idx)
+        recs = [{
+            "time": _iso_us(ts[i]),
+            "resourceId": d["resource_id"][i],
+            "category": d["category"][i],
+            "operationName": d["operation_name"][i],
+            "level": d["level"][i],
+            "properties": {"text": d["body"][i],
+                           "turn_idx": d["turn_idx"][i]},
+        } for i in idx]
+        lines.append(json.dumps(encode_eventhub_event(
+            p, seq, conv, min(ts[i] for i in idx), recs),
+            ensure_ascii=False))
+    return lines
 
 
 def write_eventhub_capture(ds: "ray.data.Dataset", out_dir: str) -> None:
     """Event Hubs PRODUCER analogue: regroup exploded log rows back into
-    resource-log events (one event per partition key, records ordered by
-    ``turn_idx``) and write one Capture JSONL per partition. Sequence
-    numbers are reassigned per partition in partition-key order (the
-    broker's append counter); ``EnqueuedTimeUtc`` is the event's earliest
-    record time. Routing is one ``bucket_fold`` exchange on the partition
-    column — a partition's events must serialize contiguously, the
-    partition-ownership shape a real hub enforces."""
-    import json as _json
-
-    import pandas as pd
-
-    from ..partitioning import bucket_fold
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_partitions(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = []
-        for p, rows in g.groupby("partition", sort=True):
-            rows = rows.sort_values(["partition_key", "turn_idx"],
-                                    kind="mergesort")
-            ts_us = rows["ts"].astype("int64").to_numpy()
-            path = os.path.join(out_dir, f"partition-{int(p)}.jsonl")
-            tmp = path + ".tmp"
-            cols = {c: rows[c].to_numpy()
-                    for c in ("partition_key", "category", "operation_name",
-                              "level", "turn_idx", "body", "resource_id")}
-            starts = np.flatnonzero(np.r_[
-                True, cols["partition_key"][1:] != cols["partition_key"][:-1]])
-            bounds = np.r_[starts, len(rows)]
-            with open(tmp, "w", encoding="utf-8") as f:
-                for seq in range(len(starts)):
-                    lo, hi = bounds[seq], bounds[seq + 1]
-                    conv = cols["partition_key"][lo]
-                    recs = [{
-                        "time": _iso_us(int(ts_us[i])),
-                        "resourceId": cols["resource_id"][i],
-                        "category": cols["category"][i],
-                        "operationName": cols["operation_name"][i],
-                        "level": cols["level"][i],
-                        "properties": {"text": cols["body"][i],
-                                       "turn_idx": int(cols["turn_idx"][i])},
-                    } for i in range(lo, hi)]
-                    f.write(_json.dumps(encode_eventhub_event(
-                        int(p), seq, conv, int(ts_us[lo:hi].min()), recs),
-                        ensure_ascii=False) + "\n")
-            os.replace(tmp, path)
-            out.append((int(p), len(starts)))
-        return pd.DataFrame(out, columns=["partition", "n"])
-
-    bucket_fold(ds, "partition", write_partitions).materialize()
+    resource-log events and write one Capture JSONL per partition (the
+    partition-ownership shape a real hub enforces)."""
+    wire.write_partitions(ds, out_dir, "partition", "partition-{}.jsonl",
+                          _encode_partition)

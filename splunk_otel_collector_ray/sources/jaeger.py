@@ -22,15 +22,13 @@ typed KeyValue list, Batch.process.service_name carried per span.
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
-import shutil
 
 import pyarrow as pa
 
 from google.protobuf import descriptor_pb2, descriptor_pool, message_factory
 
-from .wire import cols_to_table, pb_field as _field
+from .wire import cols_to_table, pb_field as _field, write_blocks
 
 JAEGER_SHARDS = 4
 
@@ -242,46 +240,33 @@ def read_jaeger_dump(staging_dir: str) -> "ray.data.Dataset":
         decode, batch_format="numpy")
 
 
+def _encode_block(t: pa.Table) -> "list[bytes]":
+    """One block → one PostSpansRequest PER SERVICE (Batch.process is
+    batch-common — a mixed-service block must split)."""
+    d = t.to_pydict()
+    ts_us = t["ts"].cast(pa.int64()).to_pylist() if t.num_rows else []
+    by_svc: dict[str, list] = {}
+    for i in range(t.num_rows):
+        by_svc.setdefault(d["service"][i], []).append({
+            "trace_id": d["trace_id"][i],
+            "span_id": d["span_id"][i],
+            "parent_id": d["parent_id"][i],
+            "operation": d["operation"][i],
+            "span_kind": d["span_kind"][i],
+            "ts_us": ts_us[i],
+            "duration_us": d["duration_us"][i],
+            **{k: d[k][i] for k in TAG_KEYS},
+        })
+    # None-service groups (a request with no Batch.process) sort first
+    # under a stable key — the writer must accept every shape its own
+    # reader produces
+    return [encode_batch(svc, rows) for svc, rows in sorted(
+        by_svc.items(), key=lambda kv: (kv[0] is not None, kv[0] or ""))]
+
+
 def write_jaeger_dump(ds: "ray.data.Dataset", out_dir: str) -> int:
-    """Exporter analogue (the jaeger agent/client side): per block, one
-    PostSpansRequest PER SERVICE (Batch.process is batch-common —
-    a mixed-service block must split), content-hash filenames. Input is
-    the engine schema :func:`read_jaeger_dump` emits."""
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(t: pa.Table) -> pa.Table:
-        d = t.to_pydict()
-        ts_us = (t["ts"].cast(pa.int64()).to_pylist()
-                 if t.num_rows else [])
-        by_svc: dict[str, list] = {}
-        for i in range(t.num_rows):
-            by_svc.setdefault(d["service"][i], []).append({
-                "trace_id": d["trace_id"][i],
-                "span_id": d["span_id"][i],
-                "parent_id": d["parent_id"][i],
-                "operation": d["operation"][i],
-                "span_kind": d["span_kind"][i],
-                "ts_us": ts_us[i],
-                "duration_us": d["duration_us"][i],
-                **{k: d[k][i] for k in TAG_KEYS},
-            })
-        # None-service groups (a request with no Batch.process) sort
-        # first under a stable key — the writer must accept every shape
-        # its own reader produces
-        for svc, rows in sorted(by_svc.items(),
-                                key=lambda kv: (kv[0] is not None,
-                                                kv[0] or "")):
-            data = encode_batch(svc, rows)
-            digest = hashlib.sha1(data).hexdigest()[:16]
-            path = os.path.join(out_dir, f"batch-{digest}.pb")
-            tmp = path + f".tmp{os.getpid()}"
-            with open(tmp, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        return pa.table({"n": pa.array([t.num_rows], type=pa.int64())})
-
-    counts = ds.map_batches(write_block, batch_format="pyarrow",
-                            batch_size=None)
-    return sum(sum(b["n"].to_pylist())
-               for b in counts.iter_batches(batch_format="pyarrow"))
+    """Exporter analogue (the jaeger agent/client side): ``batch-<sha1>
+    .pb`` request files, one per service per block (retry-idempotent
+    content-hash names, see ``wire.write_blocks``). Input is the engine
+    schema :func:`read_jaeger_dump` emits."""
+    return write_blocks(ds, out_dir, "batch-{}.pb", _encode_block)

@@ -12,16 +12,25 @@ records at or below the committed offset exactly like a restarted consumer
 (the same shape as the filelog receiver's offsets checkpoint). Input is
 the kcat/kafkacat ``-J`` JSONL export layout (public format), read
 Arrow-native via ``ray.data.read_json``; decode is vectorized per batch.
+
+This module keeps only the dump's record encoding and the producer's
+per-partition order. The offset commit, the resume filter and the
+producer's file layout are ``wire``'s per-partition mark and producer
+helpers, shared with eventhub and pulsar.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from . import wire
+from .wire import load_marks as load_offsets
+
+TOPIC = "transcripts"
+HEADER_COLS = ("turn_idx", "role", "tool")
 
 
 def decode_kafka_batch(batch: pa.Table) -> pa.Table:
@@ -45,117 +54,47 @@ def decode_kafka_batch(batch: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def read_kafka_dump(path: str, committed: dict[int, int] | None = None
+def read_kafka_dump(path: str, committed: "str | None" = None
                     ) -> "ray.data.Dataset":
-    """Read a topic dump; with ``committed`` (partition → last committed
-    offset), skip records at or below the mark — the consumer-group
-    restart semantics. The filter is vectorized per batch (partition-keyed
-    offset lookup against a tiny broadcast array)."""
+    """Read a topic dump; with ``committed`` (the offsets file
+    :func:`commit_offsets` writes), skip records at or below each
+    partition's committed offset — the consumer-group restart
+    semantics."""
     import ray.data
 
-    ds = ray.data.read_json(path, file_extensions=["jsonl"])
-    out = ds.map_batches(decode_kafka_batch, batch_format="pyarrow")
-    if not committed:
-        return out
-    max_p = max(committed) + 1
-    marks = np.full(max_p, -1, dtype=np.int64)
-    for p, off in committed.items():
-        marks[p] = off
-
-    def skip_committed(t: pa.Table) -> pa.Table:
-        part = t["partition"].to_numpy(zero_copy_only=False)
-        off = t["offset"].to_numpy(zero_copy_only=False)
-        keep = np.where(part < max_p, off > marks[np.clip(part, 0, max_p - 1)],
-                        True)
-        return t.filter(pa.array(keep))
-
-    return out.map_batches(skip_committed, batch_format="pyarrow")
+    out = ray.data.read_json(path, file_extensions=["jsonl"]).map_batches(
+        decode_kafka_batch, batch_format="pyarrow")
+    return wire.drop_marked(out, load_offsets(committed),
+                            lambda t: (t["partition"], t["offset"]))
 
 
 def commit_offsets(state_path: str, ds: "ray.data.Dataset") -> dict[int, int]:
-    """Fold the consumed stream to per-partition max offsets and commit
-    them atomically (tmp + rename, the manifest discipline). Partials
-    shrink per batch to ≤ #partitions rows — the stream never collects."""
-    from ..partitioning import small_fold
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.select(["partition", "offset"]).group_by(
-            "partition").aggregate([("offset", "max")])
-        return g.rename_columns(["partition", "offset"])
-
-    hw = small_fold(
-        ds.map_batches(partial, batch_format="pyarrow"), partial).to_pandas()
-    marks = {int(p): int(o) for p, o in zip(hw["partition"], hw["offset"])}
-    prev = load_offsets(state_path)
-    for p, o in prev.items():  # commits are monotone, like a real group
-        marks[p] = max(marks.get(p, -1), o)
-    os.makedirs(os.path.dirname(state_path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(state_path) or ".")
-    with os.fdopen(fd, "w") as f:
-        json.dump({str(p): o for p, o in marks.items()}, f)
-    os.replace(tmp, state_path)
-    return marks
+    """Commit the consumed stream's per-partition max offsets to
+    ``state_path`` (monotone, atomic; an empty stream keeps the prior
+    marks) and return them."""
+    return wire.commit_marks(state_path, ds, "offset")
 
 
-def write_kafka_dump(ds: "ray.data.Dataset", out_dir: str,
-                     topic: str = "transcripts",
-                     assign_offsets: bool = False,
-                     header_cols: tuple[str, ...] = ("turn_idx", "role",
-                                                     "tool")) -> None:
+def _encode_partition(p: int, rows: pa.Table) -> "list[str]":
+    """One partition's dump lines. Existing ``offset`` coordinates are
+    kept in offset order (a dump copy); offset-less input gets fresh
+    sequences in key order — the broker's append counter."""
+    assign = "offset" not in rows.column_names
+    rows = rows.sort_by("key" if assign else "offset")
+    offs = range(rows.num_rows) if assign else rows["offset"].to_pylist()
+    ts_ms = (pc.cast(rows["ts"], pa.int64()).to_numpy() // 1000).tolist()
+    d = rows.select(["key", "body", *HEADER_COLS]).to_pydict()
+    return [json.dumps({
+        "topic": TOPIC, "partition": p, "offset": off, "ts": ts_ms[i],
+        "key": d["key"][i], "payload": d["body"][i],
+        "headers": {c: d[c][i] for c in HEADER_COLS},
+    }, ensure_ascii=False) for i, off in enumerate(offs)]
+
+
+def write_kafka_dump(ds: "ray.data.Dataset", out_dir: str) -> None:
     """kafka PRODUCER analogue: write decoded records back as a topic dump
     (one JSONL file per partition, offset-ordered — what a consumer of the
-    produced topic would observe).
-
-    Input rows carry (partition, ts, key, body) + ``header_cols``;
-    existing ``offset`` coordinates are preserved (dump copy), or with
-    ``assign_offsets=True`` fresh per-partition sequences are assigned in
-    (key, existing-order) order — the broker's append counter. Routing is
-    one ``bucket_fold`` exchange on the partition column (a partition's
-    records must serialize contiguously, exactly the producer→broker
-    partition-ownership shape); each fold pass writes the partitions it
-    holds and emits a tiny (partition, n) receipt."""
-    import json as _json
-
-    import pandas as pd
-
-    from ..partitioning import bucket_fold
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_partitions(g: "pd.DataFrame") -> "pd.DataFrame":
-        # offset-less input (fresh produce) always gets broker-assigned
-        # sequences; explicit offsets are preserved only when present
-        assign = assign_offsets or "offset" not in g.columns
-        out = []
-        for p, rows in g.groupby("partition", sort=True):
-            rows = rows.sort_values(
-                ["key"] if assign else ["offset"], kind="mergesort")
-            offs = (np.arange(len(rows)) if assign
-                    else rows["offset"].to_numpy())
-            ts_ms = (rows["ts"].astype("int64") // 1000).to_numpy()
-            path = os.path.join(out_dir, f"{topic}-{int(p)}.jsonl")
-            tmp = path + ".tmp"
-            keys, bodies = rows["key"].to_numpy(), rows["body"].to_numpy()
-            hdr = {c: rows[c].to_numpy() for c in header_cols}
-            with open(tmp, "w", encoding="utf-8") as f:
-                for i in range(len(rows)):
-                    f.write(_json.dumps({
-                        "topic": topic, "partition": int(p),
-                        "offset": int(offs[i]), "ts": int(ts_ms[i]),
-                        "key": keys[i], "payload": bodies[i],
-                        "headers": {c: (int(hdr[c][i]) if c == "turn_idx"
-                                        else hdr[c][i])
-                                    for c in header_cols},
-                    }, ensure_ascii=False) + "\n")
-            os.replace(tmp, path)
-            out.append((int(p), len(rows)))
-        return pd.DataFrame(out, columns=["partition", "n"])
-
-    bucket_fold(ds, "partition", write_partitions).materialize()
-
-
-def load_offsets(state_path: str) -> dict[int, int]:
-    if not os.path.exists(state_path):
-        return {}
-    with open(state_path) as f:
-        return {int(p): int(o) for p, o in json.load(f).items()}
+    produced topic would observe). Input rows carry (partition, ts, key,
+    body) + ``HEADER_COLS``, and optionally ``offset``."""
+    wire.write_partitions(ds, out_dir, "partition", TOPIC + "-{}.jsonl",
+                          _encode_partition)

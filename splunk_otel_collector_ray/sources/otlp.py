@@ -28,10 +28,7 @@ msgpack receiver); the stream only crosses it at the tier boundary.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -175,32 +172,20 @@ def _rows_to_table(rows: list[dict]) -> pa.Table:
     return pa.table(cols)
 
 
+def encode_block(t: pa.Table) -> "list[bytes]":
+    """One block → its one compact OTLP-JSON request body."""
+    return [json.dumps(encode_logs_request(t),
+                       separators=(",", ":")).encode()]
+
+
 def write_otlp_logs(ds: "ray.data.Dataset", out_dir: str) -> int:
-    """Agent-tier exporter: one OTLP-JSON request file per block,
-    content-hash filenames (idempotent rewrite — the sending_queue/retry
-    discipline of the export path). Returns the record count.
+    """Agent-tier exporter: one OTLP-JSON request file per block
+    (``req-<sha1>.json``, ``wire.write_blocks``: content-hash names make
+    a retried block rewrite its own file — the sending_queue/retry
+    discipline of the export path). Returns the record count."""
+    from .wire import write_blocks
 
-    Content-hash filenames make task RETRIES idempotent but require the
-    staged stream to carry unique record identities — two byte-identical
-    BLOCKS would collapse to one file. Every caller satisfies this (log
-    records carry conv_id + turn_idx)."""
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(t: pa.Table) -> pa.Table:
-        line = json.dumps(encode_logs_request(t), separators=(",", ":"))
-        digest = hashlib.sha1(line.encode()).hexdigest()[:16]
-        path = os.path.join(out_dir, f"req-{digest}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(line)
-        os.replace(tmp, path)  # atomic publish
-        return pa.table({"n": pa.array([t.num_rows], type=pa.int64())})
-
-    counts = ds.map_batches(write_block, batch_format="pyarrow",
-                            batch_size=None)
-    return sum(sum(b["n"].to_pylist())
-               for b in counts.iter_batches(batch_format="pyarrow"))
+    return write_blocks(ds, out_dir, "req-{}.json", encode_block)
 
 
 def read_otlp_logs(staging_dir: str) -> "ray.data.Dataset":

@@ -20,9 +20,7 @@ message → dict byte-for-byte.
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
-import shutil
 import zlib
 
 from google.protobuf import (descriptor_pb2, descriptor_pool, json_format,
@@ -167,40 +165,24 @@ def pb_to_request_dict(data: bytes) -> dict:
     return json_format.MessageToDict(msg)
 
 
-def write_otlp_logs_pb(ds: "ray.data.Dataset", out_dir: str,
-                       compress: bool = True) -> int:
-    """Agent-tier exporter, binary form: one serialized (optionally
-    zlib-compressed — the OTLP/HTTP gzip content-encoding analogue)
-    ExportLogsServiceRequest per block, content-hash filenames (retry-
-    idempotent; requires unique record identities per block — see
-    sources/otlp.write_otlp_logs)."""
+def _encode_block(t: "pa.Table") -> "list[bytes]":
+    """One block → its one zlib-compressed (the OTLP/HTTP gzip
+    content-encoding analogue) binary ExportLogsServiceRequest."""
     from .otlp import encode_logs_request
 
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
-
-    import pyarrow as pa
-
-    def write_block(t: pa.Table) -> pa.Table:
-        data = request_dict_to_pb(encode_logs_request(t))
-        if compress:
-            data = zlib.compress(data, 6)
-        digest = hashlib.sha1(data).hexdigest()[:16]
-        path = os.path.join(out_dir, f"req-{digest}.pb")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-        return pa.table({"n": pa.array([t.num_rows], type=pa.int64())})
-
-    counts = ds.map_batches(write_block, batch_format="pyarrow",
-                            batch_size=None)
-    return sum(sum(b["n"].to_pylist())
-               for b in counts.iter_batches(batch_format="pyarrow"))
+    return [zlib.compress(request_dict_to_pb(encode_logs_request(t)), 6)]
 
 
-def read_otlp_logs_pb(staging_dir: str,
-                      compress: bool = True) -> "ray.data.Dataset":
+def write_otlp_logs_pb(ds: "ray.data.Dataset", out_dir: str) -> int:
+    """Agent-tier exporter, binary form: one request file per block
+    (``req-<sha1>.pb``; retry-idempotent content-hash names, see
+    ``wire.write_blocks``). Returns the record count."""
+    from .wire import write_blocks
+
+    return write_blocks(ds, out_dir, "req-{}.pb", _encode_block)
+
+
+def read_otlp_logs_pb(staging_dir: str) -> "ray.data.Dataset":
     """Gateway-tier receiver, binary form → engine-schema Dataset."""
     import pyarrow as pa
 
@@ -217,10 +199,8 @@ def read_otlp_logs_pb(staging_dir: str,
     def decode(batch: dict) -> pa.Table:
         rows = []
         for raw in batch["bytes"]:
-            data = bytes(raw)
-            if compress:
-                data = zlib.decompress(data)
-            rows.extend(decode_logs_request(pb_to_request_dict(data)))
+            rows.extend(decode_logs_request(
+                pb_to_request_dict(zlib.decompress(bytes(raw)))))
         if not rows:
             return _OUT_SCHEMA.empty_table()
         return _rows_to_table(rows)

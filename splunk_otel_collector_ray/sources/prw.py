@@ -21,12 +21,9 @@ carries the metric name; remaining labels are dimensions.
 from __future__ import annotations
 
 import glob
-import hashlib
 import os
-import shutil
 import struct
 
-import numpy as np
 import pyarrow as pa
 from google.protobuf import descriptor_pb2, descriptor_pool, message_factory
 
@@ -130,26 +127,14 @@ def write_prw(ds: "ray.data.Dataset", out_dir: str, **encode_kw) -> int:
     (8-byte LE uncompressed-length prefix + raw snappy body),
     content-hash filenames (retry-idempotent; requires the staged stream
     to carry unique record identities per block, or two byte-identical
-    blocks would collapse to one file — see sources/otlp)."""
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
+    blocks would collapse to one file — see ``wire.write_blocks``)."""
+    from .wire import write_blocks
 
-    def write_block(t: pa.Table) -> pa.Table:
+    def encode(t: pa.Table) -> "list[bytes]":
         raw = encode_write_request(t, **encode_kw)
-        body = struct.pack("<Q", len(raw)) + bytes(
-            _snappy().compress(raw))
-        digest = hashlib.sha1(body).hexdigest()[:16]
-        path = os.path.join(out_dir, f"wr-{digest}.pb")
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(body)
-        os.replace(tmp, path)
-        return pa.table({"n": pa.array([t.num_rows], type=pa.int64())})
+        return [struct.pack("<Q", len(raw)) + bytes(_snappy().compress(raw))]
 
-    counts = ds.map_batches(write_block, batch_format="pyarrow",
-                            batch_size=None)
-    return sum(sum(b["n"].to_pylist())
-               for b in counts.iter_batches(batch_format="pyarrow"))
+    return write_blocks(ds, out_dir, "wr-{}.pb", encode)
 
 
 def read_prw(staging_dir: str) -> "ray.data.Dataset":

@@ -16,31 +16,34 @@ offset order, so the state is a key SET, not a high-water mark).
 Input is the REST ``ReceivedMessage`` JSON layout (public API shape), one
 object per line, read Arrow-native via ``ray.data.read_json``; envelope
 fields decode vectorized except the per-row base64 (the wire-codec edge,
-same as fluent/OTLP). Ack state scales: it is written as parquet BY THE
-CLUSTER (never collected to the driver) and applied with
-``anti_join_keys`` — broadcast under the cardinality threshold, keyed
-anti-join past it.
+same as fluent/OTLP). Ack state scales: it is ``wire``'s acked-key set,
+written as parquet BY THE CLUSTER (never collected to the driver) and
+applied with ``anti_join_keys`` — broadcast under the cardinality
+threshold, keyed anti-join past it. The publisher's file layout is
+``wire``'s per-partition producer.
 """
 
 from __future__ import annotations
 
 import base64
-import os
+import json
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import wire
+
 PUBSUB_SHARDS = 4  # file-layout fan-out for read parallelism (pubsub has
 #                    no partitions; shard = producer key hash, like kafka)
+ATTR_COLS = ("turn_idx", "role", "tool")  # attributes the publisher writes
 
 
 def encode_pubsub_record(message_id: str, ordering_key: str,
                          publish_ts_us: int, body: str,
                          attributes: "dict[str, str]") -> dict:
     """One ReceivedMessage envelope (REST JSON shape, data base64)."""
-    from .wire import iso_us
-
-    iso = iso_us(publish_ts_us)
+    iso = wire.iso_us(publish_ts_us)
     return {
         "ackId": "ack:" + message_id,
         "message": {
@@ -67,9 +70,7 @@ def decode_pubsub_batch(batch: pa.Table) -> pa.Table:
     body = pa.array(
         [base64.b64decode(v).decode("utf-8") if v is not None else None
          for v in data.to_pylist()], type=pa.string())
-    from .wire import ts_us
-
-    ts = ts_us(msg.field("publishTime"))
+    ts = wire.ts_us(msg.field("publishTime"))
     cols: dict[str, pa.Array] = {
         "message_id": msg.field("messageId"),
         "ordering_key": msg.field("orderingKey"),
@@ -88,78 +89,46 @@ def read_pubsub_dump(path: str, ack_state: str | None = None
                      ) -> "ray.data.Dataset":
     """Read a subscription dump; with ``ack_state`` (a parquet dir written
     by :func:`ack_messages`), drop already-acked messages — the restarted-
-    subscriber semantics. The acked set never lands on the driver:
-    ``anti_join_keys`` broadcasts small sets and keyed-anti-joins big ones.
-    """
+    subscriber semantics."""
     import ray.data
-
-    from .wire import has_parquet
 
     out = ray.data.read_json(path, file_extensions=["jsonl"]).map_batches(
         decode_pubsub_batch, batch_format="pyarrow")
-    if not has_parquet(ack_state):
-        return out
-    from ..stages.sample import anti_join_keys
-
-    acked = ray.data.read_parquet(ack_state, columns=["message_id"])
-    return anti_join_keys(out, acked, "message_id")
+    return wire.drop_keys(out, ack_state, "message_id")
 
 
 def ack_messages(state_path: str, ds: "ray.data.Dataset") -> None:
     """Persist the consumed stream's message ids as the acked set —
-    written distributed (one parquet shard per block union), appended to
-    any prior state via the shared queue-source numbering rule
-    (:func:`..sources.wire.next_state_subdir`); the driver never holds
-    the ids."""
-    from .wire import next_state_subdir
-
-    sub = next_state_subdir(state_path, "ack")
-    ds.select_columns(["message_id"]).write_parquet(sub)
+    appended to any prior state, written by the cluster; the driver never
+    holds the ids."""
+    wire.save_keys(state_path, "ack", ds, ["message_id"])
 
 
-def write_pubsub_dump(ds: "ray.data.Dataset", out_dir: str,
-                      attr_cols: "tuple[str, ...]" = ("turn_idx", "role",
-                                                      "tool")) -> None:
+def _encode_shard(s: int, rows: pa.Table) -> "list[str]":
+    """One shard's envelopes in (ordering key, message id) order."""
+    rows = rows.sort_by([("ordering_key", "ascending"),
+                         ("message_id", "ascending")])
+    ts = pc.cast(rows["publish_ts"], pa.int64()).to_pylist()
+    d = rows.select(["message_id", "ordering_key", "body",
+                     *ATTR_COLS]).to_pydict()
+    return [json.dumps(encode_pubsub_record(  # wire-encode edge, like kafka
+        d["message_id"][i], d["ordering_key"][i], ts[i], d["body"][i],
+        {c: str(d[c][i]) for c in ATTR_COLS}), ensure_ascii=False)
+        for i in range(rows.num_rows)]
+
+
+def write_pubsub_dump(ds: "ray.data.Dataset", out_dir: str) -> None:
     """pubsub PUBLISHER analogue: write decoded records back as a
     subscription dump (JSONL envelopes, sharded by ordering-key hash so a
     shard's messages serialize contiguously — the ordering-key delivery
     guarantee). Input rows carry (message_id, ordering_key, publish_ts,
-    body) + ``attr_cols``."""
-    import json as _json
-
-    import numpy as np
-    import pandas as pd
-
-    from ..partitioning import bucket_fold
+    body) + ``ATTR_COLS``."""
     from ..stages.sample import key_hash_mod
-
-    os.makedirs(out_dir, exist_ok=True)
 
     def add_shard(t: pa.Table) -> pa.Table:
         shard = key_hash_mod(t["ordering_key"], PUBSUB_SHARDS)
         return t.append_column("shard", pa.array(shard.astype(np.int64)))
 
-    def write_shards(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = []
-        for s, rows in g.groupby("shard", sort=True):
-            rows = rows.sort_values(["ordering_key", "message_id"],
-                                    kind="mergesort")
-            ts_us = rows["publish_ts"].astype("int64").to_numpy()
-            mids = rows["message_id"].to_numpy()
-            okeys = rows["ordering_key"].to_numpy()
-            bodies = rows["body"].to_numpy()
-            attrs = {c: rows[c].to_numpy() for c in attr_cols}
-            path = os.path.join(out_dir, f"subscription-{int(s)}.jsonl")
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                for i in range(len(rows)):  # wire-encode edge, like kafka
-                    f.write(_json.dumps(encode_pubsub_record(
-                        mids[i], okeys[i], int(ts_us[i]), bodies[i],
-                        {c: str(attrs[c][i]) for c in attr_cols}),
-                        ensure_ascii=False) + "\n")
-            os.replace(tmp, path)
-            out.append((int(s), len(rows)))
-        return pd.DataFrame(out, columns=["shard", "n"])
-
-    bucket_fold(ds.map_batches(add_shard, batch_format="pyarrow"),
-                "shard", write_shards).materialize()
+    wire.write_partitions(ds.map_batches(add_shard, batch_format="pyarrow"),
+                          out_dir, "shard", "subscription-{}.jsonl",
+                          _encode_shard)

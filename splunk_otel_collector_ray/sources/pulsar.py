@@ -27,27 +27,34 @@ the reader API's message fields: ``ledgerId``/``entryId``/``partition``/
 ``key``/``publishTime``/``messages`` with per-message ``batchIndex``/
 ``eventTime``/``payload``/``properties``). Envelope fields decode
 vectorized; the per-entry batch JSON is the wire-codec edge. Cursor
-state scales: individuals are written as parquet BY THE CLUSTER and
-applied via ``anti_join_keys``; the mark computation folds to
-≤ #partitions rows with ``small_fold`` — the driver never holds entry
-sets.
+state scales: the mark filter, the per-partition folds, the acked-key
+set (parquet written BY THE CLUSTER, applied via ``anti_join_keys``)
+and the producer's file layout are ``wire``'s shared resume and
+producer helpers — the driver never holds entry sets. This module keeps
+the cursor policy: the mark rule, the pruning of the individuals and
+the swap of the acks dir.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import wire
 from .wire import iso_us as _iso_us
 from .wire import repeat_per, ts_us
 
 PULSAR_PARTITIONS = 4
 LEDGER_ENTRIES = 100  # BookKeeper-style ledger rollover interval
+RANK_BITS = 48  # entry coordinate = partition << 48 | rank (ranks stay
+#                 far below 2^48: ledgers × entries per partition)
+RANK_MASK = (1 << RANK_BITS) - 1
+PROP_COLS = ("role", "tool")  # message properties the producer writes
 
 
 def entry_rank(ledger_id, entry_id):
@@ -118,73 +125,53 @@ def decode_pulsar_batch(batch: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def read_pulsar_dump(path: str, cursor: "dict | None" = None
+def read_pulsar_dump(path: str, cursor: "str | None" = None
                      ) -> "ray.data.Dataset":
-    """Read a partition dump; with ``cursor`` (:func:`load_cursor`), skip
-    entries at/below each partition's markDeletePosition AND entries in
-    the individually-deleted set — the restarted-subscription semantics.
-    The mark filter is vectorized per batch; individuals apply via
-    ``anti_join_keys`` on the entry coordinate (broadcast when small,
-    keyed anti-join when not)."""
+    """Read a partition dump; with ``cursor`` (the state dir
+    :func:`compact_cursor` writes), skip entries at/below each
+    partition's markDeletePosition AND entries in the individually-
+    deleted set — the restarted-subscription semantics."""
     import ray.data
 
     out = ray.data.read_json(path, file_extensions=["jsonl"]).map_batches(
         decode_pulsar_batch, batch_format="pyarrow")
-    if not cursor:
+    cur = load_cursor(cursor) if cursor else None
+    if not cur:
         return out
-    marks = cursor.get("mark_delete") or {}
-    if marks:
-        max_p = max(marks) + 1
-        mk = np.full(max_p, -1, dtype=np.int64)
-        for p, r in marks.items():
-            mk[p] = r
-
-        def skip_marked(t: pa.Table) -> pa.Table:
-            part = t["partition"].to_numpy(zero_copy_only=False)
-            rank = entry_rank(
-                t["ledger_id"].to_numpy(zero_copy_only=False),
-                t["entry_id"].to_numpy(zero_copy_only=False))
-            keep = np.where(part < max_p,
-                            rank > mk[np.clip(part, 0, max_p - 1)], True)
-            return t.filter(pa.array(keep))
-
-        out = out.map_batches(skip_marked, batch_format="pyarrow")
-    from .wire import has_parquet
-
-    ind_dir = cursor.get("individuals_dir")
-    if has_parquet(ind_dir):
-        from ..stages.sample import anti_join_keys
-
-        def add_coord(t: pa.Table) -> pa.Table:
-            return t.append_column("_coord", _coord_col(t))
-
-        ind = ray.data.read_parquet(ind_dir, columns=["_coord"])
-        out = anti_join_keys(
-            out.map_batches(add_coord, batch_format="pyarrow"),
-            ind, "_coord").drop_columns(["_coord"])
+    out = wire.drop_marked(out, cur["mark_delete"], _part_rank)
+    if cur["individuals_dir"]:
+        out = wire.drop_keys(out.map_batches(_add_coord,
+                                             batch_format="pyarrow"),
+                             cur["individuals_dir"], "_coord")
+        out = out.drop_columns(["_coord"])
     return out
 
 
-def _coord_col(t: pa.Table) -> pa.Array:
-    """Entry coordinate as one int64 — ``partition << 48 | rank`` (rank
-    fits: ledgers × entries per partition stay far below 2^48)."""
+def _part_rank(t: pa.Table) -> "tuple[np.ndarray, np.ndarray]":
     part = t["partition"].to_numpy(zero_copy_only=False).astype(np.int64)
-    rank = entry_rank(t["ledger_id"].to_numpy(zero_copy_only=False),
-                      t["entry_id"].to_numpy(zero_copy_only=False))
-    return pa.array((part << 48) | rank, type=pa.int64())
+    return part, entry_rank(t["ledger_id"].to_numpy(zero_copy_only=False),
+                            t["entry_id"].to_numpy(zero_copy_only=False))
+
+
+def _split_coord(t: pa.Table) -> "tuple[np.ndarray, np.ndarray]":
+    coord = t["_coord"].to_numpy(zero_copy_only=False)
+    return coord >> RANK_BITS, coord & RANK_MASK
+
+
+def _add_coord(t: pa.Table) -> pa.Table:
+    """Append the entry coordinate as one int64 ``_coord`` column."""
+    part, rank = _part_rank(t)
+    return t.append_column("_coord", pa.array((part << RANK_BITS) | rank,
+                                              type=pa.int64()))
 
 
 def ack_entries(state_dir: str, ds: "ray.data.Dataset") -> None:
     """Record the consumed stream's entries as acked (appended parquet,
     written by the cluster — the driver never holds the set). Mark
-    advancement happens lazily in :func:`load_cursor`."""
-    from .wire import next_state_subdir
-
-    sub = next_state_subdir(os.path.join(state_dir, "acks"), "ack")
-    ds.map_batches(
-        lambda t: pa.table({"partition": t["partition"],
-                            "_coord": _coord_col(t)}),
-        batch_format="pyarrow").write_parquet(sub)
+    advancement happens in :func:`compact_cursor`."""
+    wire.save_keys(os.path.join(state_dir, "acks"), "ack",
+                   ds.map_batches(_add_coord, batch_format="pyarrow"),
+                   ["partition", "_coord"])
 
 
 def compact_cursor(state_dir: str, dump_path: str) -> dict:
@@ -197,116 +184,56 @@ def compact_cursor(state_dir: str, dump_path: str) -> dict:
     compaction: entries at/below the new mark are redundant by the
     cursor's own semantics, so the acks dir is atomically rewritten to
     exactly the individually-deleted set — state stays bounded by the
-    out-of-order ack gap, not by total messages ever consumed. All
-    per-partition extrema fold via ``small_fold`` over combiner-shrunk
-    partials; nothing beyond #partitions rows reaches the driver."""
+    out-of-order ack gap, not by total messages ever consumed."""
     import shutil
 
     import ray.data
 
-    from ..partitioning import small_fold
-    from ..stages.sample import anti_join_keys
-
     prev = load_cursor(state_dir) or {"mark_delete": {},
                                       "individuals_dir": None}
-    prev_marks: dict[int, int] = prev["mark_delete"]
     acks_root = os.path.join(state_dir, "acks")
-    if not os.path.isdir(acks_root) or not os.listdir(acks_root):
+    if not wire.has_parquet(acks_root):
         return prev  # nothing acked since the last compaction
 
     entries = ray.data.read_json(
         dump_path, file_extensions=["jsonl"]).map_batches(
-        lambda t: pa.table({
+        lambda t: _add_coord(pa.table({
             "partition": pc.cast(t["partition"], pa.int32()),
             "ledger_id": pc.cast(t["ledgerId"], pa.int64()),
             "entry_id": pc.cast(t["entryId"], pa.int64()),
-        }), batch_format="pyarrow").map_batches(
-        lambda t: t.append_column("_coord", _coord_col(t)),
-        batch_format="pyarrow")
-    if prev_marks:
-        # everything at/below the prior mark is acked by definition —
-        # this pre-filter is what lets the ack history be pruned to the
-        # individuals set at each compaction
-        pmax = max(prev_marks) + 1
-        pmk = np.full(pmax, -1, dtype=np.int64)
-        for p, r in prev_marks.items():
-            pmk[p] = r
-
-        def live(t: pa.Table) -> pa.Table:
-            part = t["partition"].to_numpy(zero_copy_only=False)
-            rank = entry_rank(
-                t["ledger_id"].to_numpy(zero_copy_only=False),
-                t["entry_id"].to_numpy(zero_copy_only=False))
-            keep = np.where(part < pmax,
-                            rank > pmk[np.clip(part, 0, pmax - 1)], True)
-            return t.filter(pa.array(keep))
-
-        entries = entries.map_batches(live, batch_format="pyarrow")
+        })), batch_format="pyarrow")
+    # everything at/below the prior mark is acked by definition — this
+    # pre-filter is what lets the ack history be pruned to the
+    # individuals set at each compaction
+    live = wire.drop_marked(entries, prev["mark_delete"], _split_coord)
+    unacked = wire.drop_keys(live, acks_root, "_coord")
     acked = ray.data.read_parquet(acks_root,
                                   columns=["partition", "_coord"])
-    unacked = anti_join_keys(entries, acked.select_columns(["_coord"]),
-                             "_coord")
-
-    def _extreme(agg: str):
-        def fold(t: pa.Table) -> pa.Table:
-            g = t.select(["partition", "_coord"]).group_by(
-                "partition").aggregate([("_coord", agg)])
-            return g.rename_columns(["partition", "_coord"])
-        return fold
-
-    def _by_part(ds, agg: str) -> dict[int, int]:
-        fold = _extreme(agg)
-        df = small_fold(ds.map_batches(fold, batch_format="pyarrow"),
-                        fold).to_pandas()
-        if "partition" not in df.columns:  # empty stream → schemaless
-            return {}
-        return {int(p): int(c) & ((1 << 48) - 1)
-                for p, c in zip(df["partition"], df["_coord"])}
-
-    low_unacked = _by_part(unacked, "min")
-    high_acked = _by_part(acked, "max")
-    # partition universe comes from the data + prior state, never a
-    # module constant — dumps may carry any partition ids
-    marks: dict[int, int] = {}
-    for p in set(low_unacked) | set(high_acked) | set(prev_marks):
-        if p in low_unacked:
-            computed = low_unacked[p] - 1
-        else:  # fully consumed: mark = highest acked, NOT +inf — a later
-            #   append must still deliver
-            computed = high_acked.get(p, -1)
-        marks[p] = max(computed, prev_marks.get(p, -1))
-    # individuals = acked entries ABOVE the new mark (vectorized filter)
-    mmax = max(marks) + 1
-    mk = np.full(mmax, -1, dtype=np.int64)
-    for p, r in marks.items():
-        mk[p] = r
-
-    def above_mark(t: pa.Table) -> pa.Table:
-        coord = t["_coord"].to_numpy(zero_copy_only=False)
-        part = (coord >> 48).astype(np.int64)
-        rank = coord & ((1 << 48) - 1)
-        keep = np.where(part < mmax,
-                        rank > mk[np.clip(part, 0, mmax - 1)], True)
-        return t.filter(pa.array(keep))
+    low_unacked = {p: c & RANK_MASK for p, c in
+                   wire.fold_marks(unacked, "_coord", "min").items()}
+    high_acked = {p: c & RANK_MASK for p, c in
+                  wire.fold_marks(acked, "_coord", "max").items()}
+    # the entry below the lowest unacked one; a fully consumed partition
+    # keeps its highest acked entry, NOT +inf — a later append must
+    # still deliver. The partition universe comes from the data + prior
+    # state, never a module constant.
+    marks = wire.merge_marks(
+        {**high_acked, **{p: r - 1 for p, r in low_unacked.items()}},
+        prev["mark_delete"])
 
     # prune: the compacted acks dir IS the individually-deleted set
     tmp = acks_root + ".compact.tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    acked.map_batches(above_mark,
-                      batch_format="pyarrow").write_parquet(tmp)
+    wire.drop_marked(acked, marks, _split_coord).write_parquet(tmp)
     shutil.rmtree(acks_root, ignore_errors=True)
     if os.path.isdir(tmp):
         os.replace(tmp, acks_root)
         ind_dir = acks_root
     else:  # zero surviving individuals → write_parquet created nothing
         ind_dir = None
-    cursor = {"mark_delete": marks, "individuals_dir": ind_dir}
-    fd, tmpf = tempfile.mkstemp(dir=state_dir)
-    with os.fdopen(fd, "w") as f:
-        json.dump({"mark_delete": {str(p): r for p, r in marks.items()},
-                   "individuals_dir": ind_dir}, f)
-    os.replace(tmpf, os.path.join(state_dir, "cursor.json"))
-    return cursor
+    wire.publish(os.path.join(state_dir, "cursor.json"), json.dumps(
+        {"mark_delete": marks, "individuals_dir": ind_dir}))
+    return {"mark_delete": marks, "individuals_dir": ind_dir}
 
 
 def load_cursor(state_dir: str) -> dict | None:
@@ -315,56 +242,35 @@ def load_cursor(state_dir: str) -> dict | None:
         return None
     with open(path) as f:
         raw = json.load(f)
-    return {"mark_delete": {int(p): int(r)
-                            for p, r in raw["mark_delete"].items()},
+    return {"mark_delete": wire.as_marks(raw["mark_delete"]),
             "individuals_dir": raw["individuals_dir"]}
 
 
-def write_pulsar_dump(ds: "ray.data.Dataset", out_dir: str,
-                      prop_cols: "tuple[str, ...]" = ("role", "tool")
-                      ) -> None:
-    """pulsar PRODUCER analogue: regroup messages into batch entries (one
-    entry per key, messages ordered by ``batch_index``), reassign
-    ledger/entry coordinates per partition in key order with ledger
-    rollover every ``LEDGER_ENTRIES`` entries, and write one JSONL per
-    partition. One ``bucket_fold`` exchange on the partition column —
-    the broker's partition-ownership shape."""
-    import json as _json
+def _encode_partition(p: int, rows: pa.Table) -> "list[str]":
+    """One partition's dump lines: one entry per key, keys in order,
+    messages in ``batch_index`` order; entry ranks count from 0 with
+    ledger rollover every ``LEDGER_ENTRIES`` entries, and an entry's
+    publishTime is its earliest message's."""
+    rows = rows.sort_by([("key", "ascending"), ("batch_index", "ascending")])
+    pub = pc.cast(rows["publish_ts"], pa.int64()).to_pylist()
+    ev = pc.cast(rows["event_ts"], pa.int64()).to_pylist()
+    d = rows.select(["key", "batch_index", "body", *PROP_COLS]).to_pydict()
+    lines = []
+    for rank, (key, idx) in enumerate(itertools.groupby(
+            range(rows.num_rows), d["key"].__getitem__)):
+        idx = list(idx)
+        msgs = [make_pulsar_message(
+            d["batch_index"][i], ev[i], d["body"][i],
+            {c: d[c][i] for c in PROP_COLS}) for i in idx]
+        lines.append(json.dumps(encode_pulsar_entry(
+            p, rank // LEDGER_ENTRIES, rank % LEDGER_ENTRIES, key,
+            min(pub[i] for i in idx), msgs), ensure_ascii=False))
+    return lines
 
-    import pandas as pd
 
-    from ..partitioning import bucket_fold
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_partitions(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = []
-        for p, rows in g.groupby("partition", sort=True):
-            rows = rows.sort_values(["key", "batch_index"], kind="mergesort")
-            pub_us = rows["publish_ts"].astype("int64").to_numpy()
-            ev_us = rows["event_ts"].astype("int64").to_numpy()
-            cols = {c: rows[c].to_numpy()
-                    for c in ("key", "batch_index", "body") + prop_cols}
-            starts = np.flatnonzero(
-                np.r_[True, cols["key"][1:] != cols["key"][:-1]])
-            bounds = np.r_[starts, len(rows)]
-            path = os.path.join(out_dir, f"partition-{int(p)}.jsonl")
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                for rank in range(len(starts)):
-                    lo, hi = bounds[rank], bounds[rank + 1]
-                    msgs = [make_pulsar_message(
-                        int(cols["batch_index"][i]), int(ev_us[i]),
-                        cols["body"][i],
-                        {c: cols[c][i] for c in prop_cols})
-                        for i in range(lo, hi)]
-                    f.write(_json.dumps(encode_pulsar_entry(
-                        int(p), rank // LEDGER_ENTRIES,
-                        rank % LEDGER_ENTRIES, cols["key"][lo],
-                        int(pub_us[lo:hi].min()), msgs),
-                        ensure_ascii=False) + "\n")
-            os.replace(tmp, path)
-            out.append((int(p), len(starts)))
-        return pd.DataFrame(out, columns=["partition", "n"])
-
-    bucket_fold(ds, "partition", write_partitions).materialize()
+def write_pulsar_dump(ds: "ray.data.Dataset", out_dir: str) -> None:
+    """pulsar PRODUCER analogue: regroup messages into batch entries,
+    reassign ledger/entry coordinates per partition and write one JSONL
+    per partition (the broker's partition-ownership shape)."""
+    wire.write_partitions(ds, out_dir, "partition", "partition-{}.jsonl",
+                          _encode_partition)

@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import glob
 import gzip
-import hashlib
 import os
-import shutil
 
 import pyarrow as pa
 
 from google.protobuf import descriptor_pb2, descriptor_pool, message_factory
 
-from .wire import cols_to_table, pb_field as _field
+from .wire import cols_to_table, pb_field as _field, write_blocks
 
 SFX_SHARDS = 4
 
@@ -202,40 +200,25 @@ def read_sfx_dump(staging_dir: str) -> "ray.data.Dataset":
         decode, batch_format="numpy")
 
 
+def _encode_block(t: pa.Table) -> "list[bytes]":
+    """One block → its one gzipped DataPointUploadMessage."""
+    ts_ms = t["ts"].cast(pa.int64()).to_pylist() if t.num_rows else []
+    d = t.to_pydict()
+    return [encode_upload([{
+        "metric": d["metric"][i],
+        "metric_type": d["metric_type"][i],
+        "source": d["source"][i],
+        "ts_ms": ts_ms[i] // 1000,
+        "value_int": d["value_int"][i],
+        "value_dbl": d["value_dbl"][i],
+        "value_str": d["value_str"][i],
+        **{k: d[k][i] for k in DIM_KEYS},
+    } for i in range(t.num_rows)])]
+
+
 def write_sfx_dump(ds: "ray.data.Dataset", out_dir: str) -> int:
-    """Exporter analogue: one gzipped DataPointUploadMessage per block,
-    content-hash filenames (retry-idempotent — a resent block overwrites
-    its own file), returning the datapoint count. Input must be the
-    engine schema :func:`read_sfx_dump` emits."""
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_block(t: pa.Table) -> pa.Table:
-        rows = []
-        ts_ms = (t["ts"].cast(pa.int64()).to_pylist()
-                 if t.num_rows else [])
-        d = t.to_pydict()
-        for i in range(t.num_rows):
-            rows.append({
-                "metric": d["metric"][i],
-                "metric_type": d["metric_type"][i],
-                "source": d["source"][i],
-                "ts_ms": ts_ms[i] // 1000,
-                "value_int": d["value_int"][i],
-                "value_dbl": d["value_dbl"][i],
-                "value_str": d["value_str"][i],
-                **{k: d[k][i] for k in DIM_KEYS},
-            })
-        data = encode_upload(rows)
-        digest = hashlib.sha1(data).hexdigest()[:16]
-        path = os.path.join(out_dir, f"dp-{digest}.pb.gz")
-        tmp = path + f".tmp{os.getpid()}"
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-        return pa.table({"n": pa.array([t.num_rows], type=pa.int64())})
-
-    counts = ds.map_batches(write_block, batch_format="pyarrow",
-                            batch_size=None)
-    return sum(sum(b["n"].to_pylist())
-               for b in counts.iter_batches(batch_format="pyarrow"))
+    """Exporter analogue: one ``dp-<sha1>.pb.gz`` upload per block
+    (retry-idempotent content-hash names, see ``wire.write_blocks``),
+    returning the datapoint count. Input must be the engine schema
+    :func:`read_sfx_dump` emits."""
+    return write_blocks(ds, out_dir, "dp-{}.pb.gz", _encode_block)

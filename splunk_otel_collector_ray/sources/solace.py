@@ -55,7 +55,6 @@ unmarshallers do: span name = ``<destination> <operation>``, operation
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -242,16 +241,11 @@ def read_solace_dump(path: str, settled_dir: "str | None" = None
     not — the driver never materializes it."""
     import ray.data
 
-    from .wire import has_parquet
+    from .wire import drop_keys
 
     out = ray.data.read_json(path, file_extensions=["jsonl"]).map_batches(
         decode_solace_batch, batch_format="pyarrow")
-    if has_parquet(settled_dir):
-        from ..stages.sample import anti_join_keys
-
-        settled = ray.data.read_parquet(settled_dir, columns=["span_id"])
-        out = anti_join_keys(out, settled, "span_id")
-    return out
+    return drop_keys(out, settled_dir, "span_id")
 
 
 def settle_spans(state_dir: str, ds: "ray.data.Dataset") -> None:
@@ -260,10 +254,9 @@ def settle_spans(state_dir: str, ds: "ray.data.Dataset") -> None:
     A later :func:`read_solace_dump` with this directory skips them;
     everything unsettled redelivers, the at-least-once contract the
     contrib receiver implements by settling only after forwarding."""
-    from .wire import next_state_subdir
+    from .wire import save_keys
 
-    sub = next_state_subdir(state_dir, "settle")
-    ds.select_columns(["span_id"]).write_parquet(sub)
+    save_keys(state_dir, "settle", ds, ["span_id"])
 
 
 def delivery_lag(spans: "ray.data.Dataset") -> "ray.data.Dataset":

@@ -60,7 +60,7 @@ def test_eventhub_checkpoint_resume(ray_session, sf_dir, tmp_path):
     assert 0 < n_head < total
     marks = checkpoint_sequences(state, head)
     assert marks == {p: 1 for p in range(EVENTHUB_PARTITIONS)}
-    resumed = read_eventhub_capture(path, checkpoint=load_checkpoint(state))
+    resumed = read_eventhub_capture(path, checkpoint=state)
     assert resumed.count() == total - n_head
     assert resumed.map_batches(
         lambda t: t.filter(pc.less_equal(t["sequence_number"], 1)),
@@ -69,15 +69,15 @@ def test_eventhub_checkpoint_resume(ray_session, sf_dir, tmp_path):
     # stale (lower) view never regresses the marks
     checkpoint_sequences(state, resumed)
     assert read_eventhub_capture(
-        path, checkpoint=load_checkpoint(state)).count() == 0
+        path, checkpoint=state).count() == 0
     checkpoint_sequences(state, head)
     assert read_eventhub_capture(
-        path, checkpoint=load_checkpoint(state)).count() == 0
+        path, checkpoint=state).count() == 0
     # re-committing an EMPTY resumed stream (restarted processor, no new
     # events) is a no-op, not a crash
     before = load_checkpoint(state)
     checkpoint_sequences(state, read_eventhub_capture(
-        path, checkpoint=before))
+        path, checkpoint=state))
     assert load_checkpoint(state) == before
 
 

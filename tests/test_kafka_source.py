@@ -2,6 +2,7 @@
 offset-commit resume semantics."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from splunk_otel_collector_ray import corpus
 from splunk_otel_collector_ray.sources.kafka import (
@@ -40,18 +41,35 @@ def test_kafka_offset_commit_resume(ray_session, sf_dir, tmp_path):
     total = full.count()
     marks = commit_offsets(state, full)
     assert load_offsets(state) == marks
-    assert read_kafka_dump(path, load_offsets(state)).count() == 0
+    assert read_kafka_dump(path, state).count() == 0
 
     # partial consumption: only partition 0 up to offset 9 committed
     part0 = full.filter(
         lambda r: r["partition"] == 0 and r["offset"] <= 9)
     state2 = str(tmp_path / "group2.offsets.json")
     commit_offsets(state2, part0)
-    resumed = read_kafka_dump(path, load_offsets(state2))
+    resumed = read_kafka_dump(path, state2)
     assert resumed.count() == total - 10
     df = resumed.to_pandas()
     assert df.loc[df["partition"] == 0, "offset"].min() == 10
 
     # monotone: re-committing the small slice must not regress the marks
     commit_offsets(state, part0)
+    assert load_offsets(state) == marks
+
+
+def test_kafka_empty_commit_keeps_marks(ray_session, sf_dir, tmp_path):
+    """Committing an empty stream — a restarted consumer re-committing
+    with no new records — returns and keeps the prior marks instead of
+    raising."""
+    path = corpus.ensure_kafka_dump(sf_dir)
+    state = str(tmp_path / "group.offsets.json")
+    full = read_kafka_dump(path)
+    marks = commit_offsets(state, full)
+    nothing = full.map_batches(lambda t: t.filter(pc.less(t["offset"], 0)),
+                               batch_format="pyarrow")
+    assert commit_offsets(state, nothing) == marks
+    assert load_offsets(state) == marks
+    # the same through the resume read: everything is committed already
+    assert commit_offsets(state, read_kafka_dump(path, state)) == marks
     assert load_offsets(state) == marks

@@ -15,7 +15,6 @@ from splunk_otel_collector_ray.sources.pulsar import (
     ack_entries,
     compact_cursor,
     entry_rank,
-    load_cursor,
     read_pulsar_dump,
     write_pulsar_dump,
 )
@@ -77,7 +76,7 @@ def test_pulsar_cursor_resume(ray_session, sf_dir, tmp_path):
     cur = compact_cursor(state, path)
     assert cur["mark_delete"] == {p: 2 for p in range(PULSAR_PARTITIONS)}
     assert cur["individuals_dir"] is not None  # rank 7 held individually
-    resumed = read_pulsar_dump(path, cursor=load_cursor(state))
+    resumed = read_pulsar_dump(path, cursor=state)
     rdf = resumed.to_pandas()
     assert len(rdf) == total - n_head
     rranks = set(_ranks(rdf).tolist())
@@ -87,7 +86,7 @@ def test_pulsar_cursor_resume(ray_session, sf_dir, tmp_path):
     ack_entries(state, resumed)
     cur = compact_cursor(state, path)
     assert cur["individuals_dir"] is None
-    assert read_pulsar_dump(path, cursor=load_cursor(state)).count() == 0
+    assert read_pulsar_dump(path, cursor=state).count() == 0
 
 
 def test_pulsar_append_after_full_consume(ray_session, sf_dir, tmp_path):
@@ -107,7 +106,7 @@ def test_pulsar_append_after_full_consume(ray_session, sf_dir, tmp_path):
     total = ds.count()
     ack_entries(state, ds)
     compact_cursor(state, dump)
-    assert read_pulsar_dump(dump, cursor=load_cursor(state)).count() == 0
+    assert read_pulsar_dump(dump, cursor=state).count() == 0
     # broker appends one new entry to partition 0 after the checkpoint
     with open(os.path.join(dump, "partition-0.jsonl")) as f:
         last = json.loads(f.readlines()[-1])
@@ -118,14 +117,14 @@ def test_pulsar_append_after_full_consume(ray_session, sf_dir, tmp_path):
             "conv-late", 1, [make_pulsar_message(
                 0, 1, "late message", {"role": "user", "tool": ""})]))
             + "\n")
-    resumed = read_pulsar_dump(dump, cursor=load_cursor(state))
+    resumed = read_pulsar_dump(dump, cursor=state)
     rdf = resumed.to_pandas()
     assert len(rdf) == 1 and rdf["key"].iloc[0] == "conv-late"
     # acking it advances the cursor past it again; history stays pruned
     ack_entries(state, resumed)
     cur = compact_cursor(state, dump)
     assert cur["mark_delete"][0] == rank
-    assert read_pulsar_dump(dump, cursor=load_cursor(state)).count() == 0
+    assert read_pulsar_dump(dump, cursor=state).count() == 0
     assert read_pulsar_dump(dump).count() == total + 1  # dump intact
 
 
