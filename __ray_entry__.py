@@ -865,11 +865,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
                               size_s=3600, slide_s=1800)
 
     def q_events_delta(sf):
-        # cumulative→delta per series: bucketed vectorized lag (64 grouped
-        # passes, not one task per user — SCALE.md grouped-op rule)
-        def add_bucket(t: pa.Table) -> pa.Table:
-            u = t["user_id"].to_pandas().to_numpy() % 64
-            return t.append_column("_bucket", pa.array(u.astype(np.int32)))
+        # cumulative→delta per series: one bucket_fold on user_id, a
+        # vectorized lag per block (not one task per user — SCALE.md
+        # grouped-op rule)
+        from splunk_otel_collector_ray.partitioning import bucket_fold
 
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -878,18 +877,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
             out["delta"] = (g["value"] - lag).fillna(0.0)
             return out
 
-        return _table(sf, "events").map_batches(
-            add_bucket, batch_format="pyarrow").groupby("_bucket").map_groups(
-            per_bucket, batch_format="pandas")
+        return bucket_fold(_table(sf, "events"), ["user_id"], per_bucket)
 
     def q_events_rate(sf):
         # per-series RATE (delta value / delta seconds) — the derivative
         # metricsgeneration/cumulativetodelta companion; same bucketed
         # vectorized lag shape as events_delta; 0 when no predecessor or
         # non-increasing ts (coalesced identically on both sides)
-        def add_bucket(t: pa.Table) -> pa.Table:
-            u = t["user_id"].to_pandas().to_numpy() % 64
-            return t.append_column("_bucket", pa.array(u.astype(np.int32)))
+        from splunk_otel_collector_ray.partitioning import bucket_fold
 
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -902,9 +897,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             out["rate"] = np.nan_to_num(rate, nan=0.0)
             return out
 
-        return _table(sf, "events").map_batches(
-            add_bucket, batch_format="pyarrow").groupby("_bucket").map_groups(
-            per_bucket, batch_format="pandas")
+        return bucket_fold(_table(sf, "events"), ["user_id"], per_bucket)
 
     def q_events_topk(sf):
         ds = _table(sf, "events").sort(

@@ -22,12 +22,12 @@ Example (the FIXTURES §4 routing table, as config):
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MaskFn = Callable[[pa.Table], np.ndarray]
 
@@ -41,33 +41,42 @@ _CMP = {
 }
 
 
-def _col(batch: pa.Table, name: str):
+def _col(batch: pa.Table, name: str) -> pa.ChunkedArray:
     if name not in batch.column_names:
         raise KeyError(f"unknown column {name!r} in expression")
-    return batch[name].to_pandas()
+    return batch[name]
+
+
+def _map_lookup(batch: pa.Table, col: str, key: str) -> pa.Array:
+    arr = batch[col]
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    return pc.map_lookup(arr, pa.scalar(key), "last")
 
 
 def map_get(batch: pa.Table, col: str, key: str) -> pd.Series:
     """Vectorized ``attributes["key"]`` lookup on a map<string,string> column
     (Arrow map_lookup kernel; null where the key is absent)."""
-    import pyarrow.compute as pc
-
-    arr = batch[col]
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    return pc.map_lookup(arr, pa.scalar(key), "last").to_pandas()
+    return _map_lookup(batch, col, key).to_pandas()
 
 
-def _operand(node) -> "Callable[[pa.Table], pd.Series]":
-    """Compile a readable operand: a column name, or attributes["key"]."""
+def _arrow_operand(node) -> "Callable[[pa.Table], pa.Array]":
+    """Compile a readable operand to its Arrow values: a column name, or
+    attributes["key"]."""
     if isinstance(node, ast.Name):
         return lambda b, c=node.id: _col(b, c)
     if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
             and isinstance(node.slice, ast.Constant)):
         col, key = node.value.id, node.slice.value
-        return lambda b, c=col, k=key: map_get(b, c, k)
+        return lambda b, c=col, k=key: _map_lookup(b, c, k)
     raise ValueError(
         "left side must be a column name or attributes[\"key\"]")
+
+
+def _operand(node) -> "Callable[[pa.Table], pd.Series]":
+    """:func:`_arrow_operand` as a pandas Series."""
+    get = _arrow_operand(node)
+    return lambda b: get(b).to_pandas()
 
 
 def compile_arrow_filter(expr: str):
@@ -145,13 +154,20 @@ def compile_predicate(expr: str) -> MaskFn:
                 fn(g(b), v)) & g(b).notna().to_numpy()
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("matches", "IsMatch")):
-            # IsMatch = upstream OTTL's condition-function name; same kernel
+            # IsMatch = upstream OTTL's condition-function name; same
+            # kernel. RE2 — the syntax of Go's regexp (upstream OTTL) and
+            # of DuckDB (the oracle): `\d` is ASCII-only; a null is False
             if len(node.args) != 2:
                 raise ValueError("matches(col, 'regex') expected")
-            get = _operand(node.args[0])
-            rx = re.compile(ast.literal_eval(node.args[1]))
-            return lambda b, g=get, rx=rx: g(b).str.contains(
-                rx, regex=True, na=False).to_numpy()
+            get = _arrow_operand(node.args[0])
+            rx = ast.literal_eval(node.args[1])
+            try:  # reject what RE2 cannot compile, at compile time
+                pc.match_substring_regex(pa.array([""]), rx)
+            except pa.ArrowInvalid as ex:
+                raise ValueError(f"matches(): {ex}") from None
+            return lambda b, g=get, rx=rx: pc.fill_null(
+                pc.match_substring_regex(g(b), rx), False).to_numpy(
+                zero_copy_only=False)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("startsWith", "endsWith", "contains")):
             # the stanza EXPR string helpers (recombine is_last_entry uses

@@ -2,10 +2,12 @@
 
 North-rule requirements made concrete:
 
-- ONE partitioning key reused across stages: ``conv_id`` (numeric-suffix hash
-  bucket). Recombine, span durations, sessionization and ordered export all
-  co-locate on it (`hash(conv) % B` buckets — the loadbalancing exporter's
-  consistent-hash routing key analogue, components.go:306).
+- ONE owner of the bucket decision: :func:`bucket_fold`. Operators name
+  the KEY columns whose equal values must meet in one fold call; this
+  module alone knows the hash and the bucket domain (the loadbalancing
+  exporter's consistent-hash routing key analogue, components.go:306).
+  Recombine, span durations, sessionization and ordered export all
+  co-locate on their conversation key this way.
 - Pre-aggregation everywhere: every grouped aggregate in
   ``pipelines/aggregate`` emits per-batch partials, so a hot key contributes
   at most one row per batch to the shuffle — count-like aggregates are
@@ -17,8 +19,9 @@ North-rule requirements made concrete:
   the bucket size bound is then `max conv length`, which the corpus keeps
   ≪ block size.
 
-This module provides the reusable pieces: hot-key detection (tiny partial
-counts), salted bucket assignment, and a bounded-bucket assertion helper.
+This module provides the reusable pieces: the keyed exchange
+(:func:`bucket_fold`), hot-key detection (tiny partial counts), salted
+bucket assignment, and the sorted-segment stitch (:func:`segment_fold`).
 """
 
 from __future__ import annotations
@@ -26,37 +29,57 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 from ray.data.aggregate import Sum
+from ray.data.block import BlockAccessor
+
+# bucket_fold's internal exchange column: tagged before the sort and
+# dropped before the fold, so no operator ever sees (or names) it
+_BUCKET = "__bucket"
 
 
-def default_num_buckets(min_buckets: int = 64) -> int:
-    """Cluster-derived bucket count for hash-bucketed grouped ops (r2
-    VERDICT item 9): 2 grouped tasks per CPU in the cluster, floored at 64
-    — at 32 single-node CPUs this keeps the proven 64-bucket shape
-    (measured: 128 buckets cost 5-10% in tiny-group overhead at sf0.1),
-    while a 256-node/8k-CPU cluster gets 16k buckets automatically instead
-    of the single-node constant."""
+def _domain() -> int:
+    """Bucket DOMAIN of every :func:`bucket_fold` exchange: 64× a
+    cluster-derived task-level count of 2 grouped tasks per CPU, floored
+    at 64 (at 32 single-node CPUs the proven 64-bucket shape — 128 cost
+    5-10% in tiny-group overhead at sf0.1 — while a 256-node/8k-CPU
+    cluster scales automatically). The fold runs one vectorized pass per
+    output BLOCK (not per bucket), so a wide domain costs nothing, and it
+    keeps the bucket value count far above the sort partition count (=
+    upstream block count): Ray's sort emits every surplus partition as a
+    schemaless EMPTY block that bypasses downstream UDFs (ray
+    plan_udf_map_op.py TODO(hchen)) and trips schema-divergence warnings.
+    With values ≫ partitions every partition is populated and the
+    executor sees one stable schema."""
     import ray
 
     try:
         cpus = int(ray.cluster_resources().get("CPU", 16))
     except Exception:  # no session yet (pure planning context)
         cpus = 16
-    return max(min_buckets, 2 * cpus)
+    return 64 * max(64, 2 * cpus)
 
 
-def spread_num_buckets(min_buckets: int = 64) -> int:
-    """Bucket DOMAIN for :func:`bucket_fold` — 64× the task-level bucket
-    count. The fold runs one vectorized pass per output BLOCK (not per
-    bucket), so a wide domain costs nothing, and it keeps the bucket value
-    count far above the sort partition count (= upstream block count):
-    Ray's sort emits every surplus partition as a schemaless EMPTY block
-    that bypasses downstream UDFs (ray plan_udf_map_op.py TODO(hchen)) and
-    trips schema-divergence warnings. With values ≫ partitions every
-    partition is populated and the executor sees one stable schema."""
-    return 64 * default_num_buckets(min_buckets)
+def _key_hash(col: "pa.Array | pa.ChunkedArray") -> np.ndarray:
+    """uint64 hash of one key column, dispatched on its ARROW type (never
+    the NumPy dtype, which turns int64-with-nulls into float64 per block).
+    Nulls are filled per type first, so whether a block holds a null can
+    never move a value's bucket. Integer, boolean and temporal keys hash
+    as their int64 values."""
+    typ = col.type
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        fill = ""
+    elif pa.types.is_floating(typ):
+        fill = 0.0
+    else:
+        if pa.types.is_temporal(typ):
+            col = pc.cast(col, pa.int32() if typ.bit_width == 32
+                          else pa.int64())
+        col, fill = pc.cast(col, pa.int64(), safe=False), 0
+    return pd.util.hash_array(
+        pc.fill_null(col, fill).to_numpy(zero_copy_only=False))
 
 
 def pd_table(df: pd.DataFrame) -> pa.Table:
@@ -94,41 +117,61 @@ def read_parquet_clean(path: str, **kw) -> "ray.data.Dataset":
     return ray.data.read_parquet(path, **kw)
 
 
-def bucket_fold(ds: "ray.data.Dataset", bucket_col: str, fold,
+def bucket_fold(ds: "ray.data.Dataset", key_cols: "list[str]", fold,
                 batch_format: str = "pandas",
-                coalesce: int | None = None) -> "ray.data.Dataset":
-    """ONE bucketed exchange + ONE vectorized ``fold`` pass per output block.
+                coalesce: bool = False) -> "ray.data.Dataset":
+    """ONE keyed exchange + ONE vectorized ``fold`` pass per output block.
 
-    ``sort(bucket) + map_batches(fold, batch_size=None)`` instead of
-    ``groupby(bucket).map_groups(fold)``: the sort already guarantees a
-    bucket value never splits across output blocks (verified empirically —
-    Ray's range partitioner sends boundary-equal rows to one side), so the
-    fold sees unions of COMPLETE buckets and must be bucket-agnostic
-    (vectorized over its inner semantic keys — every fold in this repo
-    already is). Wins over map_groups: no per-group Python splitting loop
-    (one pandas pass per block, ~20-40%% faster measured at 1M rows), and
-    with the :func:`spread_num_buckets` domain there are no empty sort
-    partitions, hence none of Ray's schemaless empty blocks.
+    Rows with equal values in ``key_cols`` meet in one ``fold`` call. The
+    exchange is ``sort(bucket) + map_batches(fold, batch_size=None)``
+    instead of ``groupby(keys).map_groups(fold)``: the sort already
+    guarantees a bucket value never splits across output blocks
+    (verified empirically — Ray's range partitioner sends boundary-equal
+    rows to one side), so the fold sees unions of COMPLETE buckets and
+    must be bucket-agnostic (vectorized over its keys — every fold in
+    this repo already is). Wins over map_groups: no per-group Python
+    splitting loop (one pandas pass per block, ~20-40%% faster measured
+    at 1M rows), and with the :func:`_domain` width there are no empty
+    sort partitions, hence none of Ray's schemaless empty blocks.
+
+    Order of work: strip the ``b'pandas'`` schema metadata and tag each
+    row's bucket in one fused map (the key columns' :func:`_key_hash`
+    values combined by multiply-add in uint64, mod :func:`_domain`),
+    coalesce, sort, then drop the internal bucket column before the fold
+    runs; the key columns stay in the rows the fold sees.
 
     ``coalesce``: for TINY-ROW exchanges (hash/pair/partial shrink streams
     — fixed-width columns, no text payload), fold many small input blocks
     into few before the sort: the Sort op pays per-block fixed costs that
     dominate when the stream is thousands of ~250 KB blocks (measured:
-    exact_dedup 1.65 s → 0.94 s at 1M rows with ``coalesce=1<<17``).
-    Leave None when blocks carry text/binary payloads — there the copy
+    exact_dedup 1.65 s → 0.94 s at 1M rows with 128k-row batches).
+    Leave it off when blocks carry text/binary payloads — there the copy
     costs more than the per-block overhead saved (measured on recombine).
     """
-    # strip BEFORE the coalesce: _strip_md carries no resource override so
-    # it fuses into the producer task and the b'pandas' metadata dies
-    # there; coalesce breaks fusion (num_cpus=0), so the old
-    # coalesce-then-strip order shipped metadata-carrying bundles across
+    domain = _domain()
+
+    # strip + tag BEFORE the coalesce: this map carries no resource
+    # override so it fuses into the producer task and the b'pandas'
+    # metadata dies there; coalesce breaks fusion (num_cpus=0), so a
+    # coalesce-then-strip order ships metadata-carrying bundles across
     # two operator boundaries — each logging "Failed to hash the schemas"
     # once bundles go multi-block (sf0.1+)
-    ds = _strip_md(ds)
+    def tag(t: pa.Table) -> pa.Table:
+        h = np.zeros(t.num_rows, dtype=np.uint64)
+        for c in key_cols:
+            h = h * np.uint64(0x9E3779B97F4A7C15) + _key_hash(t[c])
+        return t.replace_schema_metadata(None).append_column(
+            _BUCKET, pa.array((h % np.uint64(domain)).astype(np.int32)))
+
+    def run(t: pa.Table):
+        batch = BlockAccessor.for_block(t.drop_columns([_BUCKET]))
+        return fold(batch.to_batch_format(batch_format))
+
+    ds = ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
     if coalesce:
-        ds = coalesce_blocks(ds, coalesce)
-    return ds.sort(bucket_col).map_batches(
-        fold, batch_size=None, batch_format=batch_format)
+        ds = coalesce_blocks(ds, 1 << 17)
+    return ds.sort(_BUCKET).map_batches(
+        run, batch_size=None, batch_format="pyarrow")
 
 
 def segment_fold(t: pa.Table, key: str, order: str, value: str,
@@ -152,8 +195,6 @@ def segment_fold(t: pa.Table, key: str, order: str, value: str,
     Returns one row per segment in ``(key, record)`` order with columns
     ``key``, ``record_id`` (int64, only when ``flag`` is given), ``value``
     (the joined string) and ``n`` (int64 rows in the segment)."""
-    import pyarrow.compute as pc
-
     idx = pc.sort_indices(t, sort_keys=[(key, "ascending"),
                                         (order, "ascending")])
     keys = t[key].take(idx).combine_chunks()
@@ -188,8 +229,6 @@ def join_segments(values: "pa.Array | pa.ChunkedArray", starts: np.ndarray,
     ``values[starts[i]:starts[i + 1]]`` (the last runs to the end). One
     ``ListArray`` over the start offsets + one ``pc.binary_join`` in Arrow
     C++ — the join half of :func:`segment_fold`."""
-    import pyarrow.compute as pc
-
     if isinstance(values, pa.ChunkedArray):
         values = values.combine_chunks()
     offsets = np.append(starts, len(values)).astype(np.int32)
@@ -257,8 +296,6 @@ def detect_hot_keys(ds: "ray.data.Dataset", key: str,
     runs DISTRIBUTED, so only the hot set itself reaches the driver — by
     pigeonhole at most total_rows/threshold keys, never the full
     O(#distinct keys) count table."""
-    import pyarrow.compute as pc
-
     hot = key_counts(ds, key).map_batches(
         lambda t: t.filter(pc.greater(t["n"], threshold_rows)),
         batch_format="pyarrow").to_pandas()
@@ -288,7 +325,7 @@ def salted_span_durations(
 
     from .stages.metrics import span_durations
 
-    num_buckets = spread_num_buckets()
+    num_buckets = _domain()
     # Three executions of the PRUNED 5-column projection (counts,
     # boundary, compute) — the hot set gates the boundary build and the
     # broadcast boundary table gates the compute, so each pass depends on
@@ -350,7 +387,7 @@ def salted_span_durations(
         return out[["conv_id", "turn_idx", "tool", "duration_s"]]
 
     return bucket_fold(cols.map_batches(tag, batch_format="pyarrow"),
-                       "_bucket", per_bucket)
+                       ["_bucket"], per_bucket)
 
 
 def salted_bucket(keys: np.ndarray, sub_id: np.ndarray, hot: set,

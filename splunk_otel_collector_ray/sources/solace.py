@@ -264,18 +264,14 @@ def delivery_lag(spans: "ray.data.Dataset") -> "ray.data.Dataset":
     span to its receive parent THROUGH the shared rgmid and aggregate
     ``egress.start - receive.end`` per queue.
 
-    Shape: project to fixed-width columns, ONE ``bucket_fold`` exchange
-    on the rgmid hash (both spans of a message land in one bucket; the
+    Shape: project to fixed-width columns, ONE ``bucket_fold`` keyed
+    on rgmid (both spans of a message land in one bucket; the
     fold pairs them with a vectorized merge and shrinks to per-queue
     partials), then a ``small_fold`` final over O(#queues) rows —
     span text never reshuffles and nothing materializes on the driver."""
     import pandas as pd
 
-    from ..partitioning import bucket_fold, pd_table, small_fold, \
-        spread_num_buckets
-    from ..stages.sample import key_hash_mod
-
-    nb = spread_num_buckets()
+    from ..partitioning import bucket_fold, pd_table, small_fold
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -284,8 +280,6 @@ def delivery_lag(spans: "ray.data.Dataset") -> "ray.data.Dataset":
             "destination": t["destination"],
             "start_us": pc.cast(t["start_ts"], pa.int64()),
             "end_us": pc.cast(t["end_ts"], pa.int64()),
-            "bucket": pa.array(key_hash_mod(
-                t["rgmid"].combine_chunks(), nb)),
         })
 
     # Explicit schemas for the no-pairs case: an all-refused-egress or
@@ -333,6 +327,6 @@ def delivery_lag(spans: "ray.data.Dataset") -> "ray.data.Dataset":
         })
 
     partials = bucket_fold(
-        spans.map_batches(project, batch_format="pyarrow"), "bucket",
-        pair_and_shrink, coalesce=1 << 17)
+        spans.map_batches(project, batch_format="pyarrow"), ["rgmid"],
+        pair_and_shrink, coalesce=True)
     return small_fold(partials, combine)

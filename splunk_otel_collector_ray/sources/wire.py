@@ -197,7 +197,7 @@ def write_partitions(ds: "ray.data.Dataset", out_dir: str, col: str,
         return pa.table({col: pa.array(parts, type=pa.int64()),
                          "n": pa.array(ns, type=pa.int64())})
 
-    bucket_fold(ds, col, fold, batch_format="pyarrow").materialize()
+    bucket_fold(ds, [col], fold, batch_format="pyarrow").materialize()
 
 
 # --- resume state: per-partition high-water marks --------------------------

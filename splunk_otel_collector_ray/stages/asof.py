@@ -7,9 +7,9 @@ form of that is the as-of join: each left row matches the LATEST right row
 with the same key and ``right.on <= left.on``.
 
 Shape (the engine's standard grouped-op plan, CLAUDE.md): tag each side,
-project both to one common schema, union, ONE bucketed exchange on
-``hash(by) % B``, then a single vectorized ``pandas.merge_asof`` per
-bucket — no per-key tasks, both streams move exactly once. The
+project both to one common schema, union, ONE ``bucket_fold`` keyed on
+``by``, then a single vectorized ``pandas.merge_asof`` per fold
+block — no per-key tasks, both streams move exactly once. The
 partitioning assumption: a single key's rows fit one bucket's worth of
 memory (keys are hash-spread; B is cluster-derived).
 """
@@ -32,19 +32,6 @@ def _project(side: "ray.data.Dataset", tag: int,
         return pa.table(cols)
 
     return side.map_batches(fn, batch_format="pyarrow")
-
-
-def _make_add_bucket(by: str, num_buckets: int):
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t[by].to_numpy(zero_copy_only=False)
-        if k.dtype.kind in "iu":
-            hb = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                  >> np.uint64(40)).astype(np.int64) % num_buckets
-        else:
-            hb = pd.util.hash_array(np.asarray(k, dtype=object)) % num_buckets
-        return t.append_column("_hb", pa.array(hb.astype(np.int32)))
-
-    return add_bucket
 
 
 def _restore_int_cols(df: pd.DataFrame, cols, schema_types) -> pd.DataFrame:
@@ -72,9 +59,7 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     DuckDB's ``ASOF LEFT JOIN``). Ties on ``on`` are inclusive
     (``right.on <= left.on`` for backward).
     """
-    from ..partitioning import bucket_fold, pd_table, spread_num_buckets
-
-    num_buckets = spread_num_buckets()
+    from ..partitioning import bucket_fold, pd_table
 
     lsch, rsch = left.schema(), right.schema()
     types = dict(zip(lsch.names, lsch.types))
@@ -86,7 +71,9 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
 
     def bucket_asof(g: pd.DataFrame) -> pd.DataFrame:
         lf = g[g["_side"] == 0].sort_values(on, kind="mergesort")
-        rt = g[g["_side"] == 1].sort_values(on, kind="mergesort")
+        # a null key matches nothing (DuckDB's ASOF LEFT JOIN)
+        rt = g[(g["_side"] == 1) & g[by].notna()].sort_values(
+            on, kind="mergesort")
         out = pd.merge_asof(
             lf[[by, on] + list(left_cols)],
             rt[[by, on] + list(right_cols)].rename(columns={on: on + "_r"}),
@@ -95,12 +82,10 @@ def asof_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         # emit ARROW (int64 with nulls), so block schemas are stable
         # and the driver-facing to_pandas decides int64-vs-float64
         # once per whole column, like the SQL oracle
-        return pd_table(_restore_int_cols(out, left_cols, schema_types))
+        return pd_table(_restore_int_cols(out, [by, *left_cols],
+                                          schema_types))
 
-    return bucket_fold(
-        both.map_batches(_make_add_bucket(by, num_buckets),
-                         batch_format="pyarrow"),
-        "_hb", bucket_asof)
+    return bucket_fold(both, [by], bucket_asof)
 
 
 def range_join_count(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -117,9 +102,7 @@ def range_join_count(left: "ray.data.Dataset", right: "ray.data.Dataset",
     ``count(t0, t1] = cum_at(t1) - cum_at(t0)`` where ``cum_at(x)`` is the
     per-key count of right rows with ``on <= x``. No per-key Python loop.
     """
-    from ..partitioning import bucket_fold, pd_table, spread_num_buckets
-
-    num_buckets = spread_num_buckets()
+    from ..partitioning import bucket_fold, pd_table
 
     lsch = left.schema()
     types = dict(zip(lsch.names, lsch.types))
@@ -149,11 +132,8 @@ def range_join_count(left: "ray.data.Dataset", right: "ray.data.Dataset",
         at_t = cum_at(lf[on])
         at_upper = cum_at(lf[on] + window)
         out = lf[[by, on] + list(left_cols)].copy()
-        out = _restore_int_cols(out, left_cols, schema_types)
+        out = _restore_int_cols(out, [by, *left_cols], schema_types)
         out[out_col] = (at_upper - at_t).astype(np.int64)
         return pd_table(out)
 
-    return bucket_fold(
-        both.map_batches(_make_add_bucket(by, num_buckets),
-                         batch_format="pyarrow"),
-        "_hb", bucket_count)
+    return bucket_fold(both, [by], bucket_count)

@@ -31,7 +31,6 @@ from ..partitioning import (
     join_segments,
     pd_table,
     segment_fold,
-    spread_num_buckets,
 )
 
 MERSENNE = (1 << 61) - 1
@@ -106,11 +105,11 @@ def exact_dedup(ds: "ray.data.Dataset", col: str = "text",
     semantics, distributed.
 
     Shape: per-batch content hash + local (hash → min_id, count) shrink,
-    then ONE bucketed exchange on ``hash % B`` with a vectorized fold per
-    output block — measured ~2× faster at 1M mostly-unique keys than a
-    sort-based ``groupby(content_hash)`` (the int32 bucket key sorts
-    cheaper than the 64-bit hash, and the fold is one pandas pass)."""
-    num_buckets = spread_num_buckets()
+    then ONE ``bucket_fold`` keyed on ``content_hash`` with a vectorized
+    fold per output block — measured ~2× faster at 1M mostly-unique keys
+    than a sort-based ``groupby(content_hash)`` (the int32 bucket key
+    sorts cheaper than the 64-bit hash, and the fold is one pandas
+    pass)."""
 
     def partial(t: pa.Table) -> pa.Table:
         t = add_content_hash(t, col)
@@ -120,8 +119,6 @@ def exact_dedup(ds: "ray.data.Dataset", col: str = "text",
         g = df.groupby("content_hash", as_index=False).agg(
             **{id_col: (id_col, "min"), "dupes": (id_col, "size")})
         g["dupes"] = g["dupes"].astype(np.int64)
-        g["_hb"] = (g["content_hash"].to_numpy() % num_buckets).astype(
-            np.int32)
         return pd_table(g)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -130,7 +127,7 @@ def exact_dedup(ds: "ray.data.Dataset", col: str = "text",
         return out[[id_col, "dupes"]].astype({"dupes": np.int64})
 
     return bucket_fold(ds.map_batches(partial, batch_format="pyarrow"),
-                       "_hb", fold, coalesce=1 << 17)
+                       ["content_hash"], fold, coalesce=True)
 
 
 def exact_dedup_rows(ds: "ray.data.Dataset", col: str = "text",
@@ -140,29 +137,23 @@ def exact_dedup_rows(ds: "ray.data.Dataset", col: str = "text",
     only winner ids + counts).
 
     Shape: vectorized content hash per batch, per-batch local first-per-hash
-    shrink, then ONE bucketed exchange (hash(content_hash) % B) with a
+    shrink, then ONE ``bucket_fold`` keyed on ``content_hash`` with a
     vectorized per-block reduction — no per-content-group tasks, and full
-    text moves at most once. B is cluster-derived.
+    text moves at most once.
     """
-    num_buckets = spread_num_buckets()
 
     def local_first(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col], kind="mergesort")
         return df.drop_duplicates("content_hash", keep="first")
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = t["content_hash"].to_numpy(zero_copy_only=False) % num_buckets
-        return t.append_column("_hb", pa.array(h.astype(np.int32)))
-
     def bucket_first(g: pd.DataFrame) -> pd.DataFrame:
-        return local_first(g).drop(columns=["_hb", "content_hash"])
+        return local_first(g).drop(columns=["content_hash"])
 
     return bucket_fold(
         ds.map_batches(lambda t: add_content_hash(t, col),
                        batch_format="pyarrow")
-        .map_batches(local_first, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        "_hb", bucket_first)
+        .map_batches(local_first, batch_format="pandas"),
+        ["content_hash"], bucket_first)
 
 
 def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
@@ -173,13 +164,13 @@ def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
     pages/conversations is template noise, not signal).
 
     Shape: vectorized content hash per batch → per-batch ``(hash, key)``
-    dedup shrink (only distinct pairs leave the batch) → ONE bucketed
-    exchange on ``hash % B`` → per-bucket vectorized nunique → threshold.
+    dedup shrink (only distinct pairs leave the batch) → ONE
+    ``bucket_fold`` keyed on the hash → per-block vectorized nunique →
+    threshold.
     The result is the values that repeat across ≥ min_keys keys: bounded
     and tiny by construction (threshold caps cardinality), so it is safe
     to collect and broadcast for the removal pass.
     """
-    num_buckets = spread_num_buckets()
 
     def pair_shrink(t: pa.Table) -> pa.Table:
         t = add_content_hash(t, col)
@@ -187,10 +178,8 @@ def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
             "content_hash": t["content_hash"].to_numpy(zero_copy_only=False),
             "k": t[key_col].to_pandas(),
         }).drop_duplicates()
-        hb = (df["content_hash"].to_numpy() % num_buckets).astype(np.int32)
         return pa.table({"content_hash": df["content_hash"].to_numpy(),
-                         "k": df["k"].to_numpy(dtype=object),
-                         "_hb": hb})
+                         "k": df["k"].to_numpy(dtype=object)})
 
     def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
         n = g.drop_duplicates(["content_hash", "k"]) \
@@ -201,7 +190,7 @@ def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
 
     freq = bucket_fold(
         ds.map_batches(pair_shrink, batch_format="pyarrow"),
-        "_hb", bucket_count, coalesce=1 << 17).to_pandas()
+        ["content_hash"], bucket_count, coalesce=True).to_pandas()
     return np.sort(freq["content_hash"].to_numpy().astype(np.int64))
 
 
@@ -269,12 +258,11 @@ def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
 
     Scale shape: vectorized explode, per-batch local first-per-segment
     shrink (min of mins is safe because only global winners survive), then
-    TWO bucketed exchanges — winner election on ``hash(seg) % B`` and
-    reassembly on ``doc_id % B`` — each one `bucket_fold` pass. Segment
-    text crosses the wire at most twice, already locally deduped; no
-    driver materialization, no broadcast of the (corpus-sized) segment set.
+    TWO `bucket_fold` exchanges — winner election keyed on ``seg`` and
+    reassembly keyed on the doc id. Segment text crosses the wire at most
+    twice, already locally deduped; no driver materialization, no
+    broadcast of the (corpus-sized) segment set.
     """
-    num_buckets = spread_num_buckets()
 
     def explode_shrink(t: pa.Table) -> pa.Table:
         segs = _explode_segments(t, sep, text_col, id_col)
@@ -282,23 +270,17 @@ def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
             return pa.table({
                 id_col: pa.array([], t[id_col].type),
                 "seg_idx": pa.array([], pa.int64()),
-                "seg": pa.array([], pa.string()),
-                "_hb": pa.array([], pa.int32())})
+                "seg": pa.array([], pa.string())})
         df = pd.DataFrame({
             id_col: segs[id_col].to_numpy(zero_copy_only=False),
             "seg_idx": segs["seg_idx"].to_numpy(zero_copy_only=False),
             "seg": segs["seg"].to_pandas()})
         df = df.sort_values([id_col, "seg_idx"], kind="mergesort")
-        df = df.drop_duplicates("seg", keep="first")
-        h = pd.util.hash_array(df["seg"].to_numpy(dtype=object))
-        df["_hb"] = (h % num_buckets).astype(np.int32)
-        return pd_table(df)
+        return pd_table(df.drop_duplicates("seg", keep="first"))
 
     def elect_winner(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["seg", id_col, "seg_idx"], kind="mergesort")
-        g = g.drop_duplicates("seg", keep="first")
-        db = g[id_col].to_numpy().astype(np.uint64) % num_buckets
-        return g.assign(_db=db.astype(np.int32)).drop(columns=["_hb"])
+        return g.drop_duplicates("seg", keep="first")
 
     def reassemble(t: pa.Table) -> pa.Table:
         return segment_fold(t, id_col, "seg_idx", "seg", sep) \
@@ -306,8 +288,8 @@ def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
 
     winners = bucket_fold(
         ds.map_batches(explode_shrink, batch_format="pyarrow"),
-        "_hb", elect_winner)
-    return bucket_fold(winners, "_db", reassemble, batch_format="pyarrow")
+        ["seg"], elect_winner)
+    return bucket_fold(winners, [id_col], reassemble, batch_format="pyarrow")
 
 
 class MinHasher:
@@ -385,11 +367,10 @@ def minhash_duplicate_groups(
 
     Shape: the (band, band_hash, id) stream shrinks per batch to ≤ 1 row
     per (band, band_hash) — template-heavy corpora compress hard here —
-    then ONE int32-bucketed exchange on ``band_hash % B`` with a
+    then ONE ``bucket_fold`` keyed on (band, band_hash) with a
     vectorized fold per block (the exact_dedup pattern; measured ~4×
     faster than a sort groupby over the raw 16M-row band stream at 1M
     docs × 16 bands)."""
-    num_buckets = spread_num_buckets()
     bands = ds.map_batches(MinHasher,
                            fn_constructor_kwargs={"id_col": id_col, **kw},
                            batch_format="pyarrow", concurrency=(1, 16))
@@ -402,7 +383,6 @@ def minhash_duplicate_groups(
         g = df.groupby(["band", "band_hash"], as_index=False).agg(
             min_id=("min_id", "min"), size=("min_id", "size"))
         g["size"] = g["size"].astype(np.int64)
-        g["_hb"] = (g["band_hash"].to_numpy() % num_buckets).astype(np.int32)
         return pd_table(g)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -412,7 +392,7 @@ def minhash_duplicate_groups(
         return out[out["size"] > 1]
 
     return bucket_fold(bands.map_batches(partial, batch_format="pyarrow"),
-                       "_hb", fold, coalesce=1 << 17)
+                       ["band", "band_hash"], fold, coalesce=True)
 
 
 def shingle_hash_rows(batch: pa.Table, id_col: str = "doc_id",
@@ -438,20 +418,13 @@ def candidate_pairs_from_bands(
     generator for MinHash text near-dup AND banded embedding-cosine LSH.
 
     Scale shape: NOT one map_groups task per (band, band_hash) — that's
-    millions of tiny groups; LSH buckets hash into ``num_buckets``
-    partitions and each partition's multi-member buckets are enumerated
+    millions of tiny groups; one ``bucket_fold`` keyed on (band,
+    band_hash) and each fold block's multi-member buckets are enumerated
     with size-class vectorized triu expansion (one numpy pass per distinct
     bucket size). Pair dedup (a pair can surface from several bands) is a
-    per-batch drop_duplicates shrink then ONE bucketed exchange — Ray's
+    per-batch drop_duplicates shrink then ONE keyed exchange — Ray's
     composite-key hash aggregate is ~20× slower at 10^5 pairs.
     """
-    num_buckets = spread_num_buckets()
-
-    def add_pb(t: pa.Table) -> pa.Table:
-        h = (t["band_hash"].to_numpy(zero_copy_only=False)
-             + t["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-             * 0x9E3779B9) % num_buckets
-        return t.append_column("_pb", pa.array(h.astype(np.int32)))
 
     def pairs_of_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["band", "band_hash", id_col]).sort_values(
@@ -478,8 +451,8 @@ def candidate_pairs_from_bands(
         return pd.DataFrame({"doc_a": np.concatenate(out_a),
                              "doc_b": np.concatenate(out_b)})
 
-    cand = bucket_fold(bands.map_batches(add_pb, batch_format="pyarrow"),
-                       "_pb", pairs_of_bucket, coalesce=1 << 17)
+    cand = bucket_fold(bands, ["band", "band_hash"], pairs_of_bucket,
+                       coalesce=True)
 
     def local_dedup(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["doc_a", "doc_b"])
@@ -490,28 +463,9 @@ def candidate_pairs_from_bands(
         # unhashable-schema slow path ("Failed to hash the schemas")
         return pd_table(local_dedup(g))
 
-    def add_pk(t: pa.Table) -> pa.Table:
-        a = t["doc_a"].to_numpy(zero_copy_only=False)
-        b = t["doc_b"].to_numpy(zero_copy_only=False)
-        if a.dtype == object:  # string ids
-            h = (pd.util.hash_array(a.astype(object))
-                 + pd.util.hash_array(b.astype(object))) % num_buckets
-        else:
-            h = (a.astype(np.int64) * 0x9E3779B9
-                 + b.astype(np.int64)) % num_buckets
-        # fused after pandas folds: Ray's in-chain pandas→Arrow conversion
-        # attaches the b'pandas' metadata dict, and this UDF's output IS
-        # the fused task's block — strip here or every multi-block bundle
-        # downstream logs "Failed to hash the schemas" (sf0.1+ only: at
-        # sf0.01 bundles are single-block and never unify)
-        return t.append_column(
-            "_pk", pa.array(h.astype(np.int32))
-        ).replace_schema_metadata(None)
-
     return bucket_fold(
-        cand.map_batches(local_dedup, batch_format="pandas")
-        .map_batches(add_pk, batch_format="pyarrow"),
-        "_pk", local_dedup_arrow, coalesce=1 << 17).drop_columns(["_pk"])
+        cand.map_batches(local_dedup, batch_format="pandas"),
+        ["doc_a", "doc_b"], local_dedup_arrow, coalesce=True)
 
 
 def neardup_pairs_ds(
@@ -1070,13 +1024,6 @@ def _keep_best_distributed(
                       on=("node",), right_on=(id_col,),
                       aggregator_ray_remote_args=agg_args)
 
-    nb = spread_num_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = (lab * 0x9E3779B9) % nb  # int64 wraparound then non-neg mod
-        return t.append_column("_kb", pa.array(b.astype(np.int32)))
-
     def pick_winner(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values([score_col, "node"], ascending=[False, True],
                           kind="mergesort")
@@ -1084,8 +1031,7 @@ def _keep_best_distributed(
         return pd_table(w[["label", "node"]].rename(
             columns={"node": "winner_id"}))
 
-    winners = bucket_fold(mem.map_batches(tag, batch_format="pyarrow"),
-                          "_kb", pick_winner)
+    winners = bucket_fold(mem, ["label"], pick_winner)
 
     memw = mem.join(winners, join_type="inner",
                     num_partitions=num_partitions, on=("label",),
@@ -1240,7 +1186,6 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
         # carries >=1 separator space; k=1 would also collapse to plain
         # token dedup, which exact_dedup already covers
         raise ValueError("substring_dedup requires k >= 2")
-    num_buckets = spread_num_buckets()
 
     def hash_partial(t: pa.Table) -> pa.Table:
         _, lens, flat = _flat_space_tokens(t, text_col, id_col)
@@ -1256,8 +1201,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
             c = np.array([0], dtype=np.int64)
         return pa.table({
             "whash": pa.array(u.view(np.int64)),
-            "cnt": pa.array(c.astype(np.int64)),
-            "_hb": pa.array((u % num_buckets).astype(np.int32))})
+            "cnt": pa.array(c.astype(np.int64))})
 
     def sum_filter(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby("whash", sort=False, as_index=False)["cnt"].sum()
@@ -1268,7 +1212,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
     # 1M-row dedup_exact stream)
     dup_hashes = bucket_fold(
         ds.map_batches(hash_partial, batch_format="pyarrow"),
-        "_hb", sum_filter, coalesce=1 << 17)
+        ["whash"], sum_filter, coalesce=True)
     # output-bounded driver gather (distinct duplicated windows only);
     # a duplicate-free corpus yields an EMPTY dataset whose to_pandas()
     # has no columns at all — guard before projecting
@@ -1300,7 +1244,7 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
                 id_col: t[id_col].slice(0, n_sent),
                 "pos": pa.array([np.int64(-1)] * n_sent),
                 "gram": pa.array([""] * n_sent, type=pa.string()),
-                "_hb": pa.array([np.int32(0)] * n_sent)})
+                "whash": pa.array([np.int64(0)] * n_sent)})
         sc = starts[hit]
         gram = flat[sc].copy()
         for j in range(1, k):
@@ -1312,18 +1256,17 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
             id_col: pa.array(ids[doc_of_w], type=t[id_col].type),
             "pos": pa.array(pos[hit]),
             "gram": pa.array(gram, type=pa.string()),
-            "_hb": pa.array((fold[hit] % num_buckets).astype(np.int32))})
+            "whash": pa.array(sfold[hit])})
 
     # materialized: the threshold count and the gather/join below both
     # consume it, and a lazy plan would rerun candidates + confirm (and
     # the whole upstream chain) once per consumption
     mask_ds = bucket_fold(
         ds.map_batches(candidates, batch_format="pyarrow"),
-        "_hb", lambda g: _substring_confirm(g, id_col)).materialize()
+        ["whash"], lambda g: _substring_confirm(g, id_col)).materialize()
     # pos=-1 rows are per-block "no masks" sentinels, not mask rows
     if mask_ds.filter(expr="pos >= 0").count() > max_broadcast_masks:
-        return _substring_rebuild_joined(ds, mask_ds, k, text_col, id_col,
-                                         num_buckets)
+        return _substring_rebuild_joined(ds, mask_ds, k, text_col, id_col)
 
     mask_df = mask_ds.to_pandas()
     if "pos" not in mask_df.columns:
@@ -1403,15 +1346,15 @@ def _mark_and_emit(id_arr: "pa.Array", ids: np.ndarray, lens: np.ndarray,
 
 def _substring_rebuild_joined(ds: "ray.data.Dataset",
                               mask_ds: "ray.data.Dataset", k: int,
-                              text_col: str, id_col: str,
-                              num_buckets: int) -> "ray.data.Dataset":
+                              text_col: str, id_col: str
+                              ) -> "ray.data.Dataset":
     """Distributed rebuild for :func:`substring_dedup` past the mask
     broadcast threshold (the semi_join_keys cardinality-switch idiom,
     sample.py — no driver-side mask frame at 100-TB duplication density):
 
     1. pack each doc's mask rows into two binary payload columns (pos as
        little-endian int64 bytes, canonical flags as one byte each) via
-       ONE bucketed exchange on ``hash(doc_id) % B`` — the
+       ONE ``bucket_fold`` keyed on the doc id — the
        shingle_hash_rows payload pattern, Acero-join-safe;
     2. LEFT join the doc stream to the packed masks (zero-CPU
        aggregators, capped partitions per the CLAUDE.md join rules);
@@ -1421,22 +1364,6 @@ def _substring_rebuild_joined(ds: "ray.data.Dataset",
     import ray
 
     import pyarrow.compute as pc
-
-    def add_db(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater_equal(t["pos"], 0))  # drop fold sentinels
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table({
-                id_col: t[id_col], "pos": t["pos"],
-                "is_canon": t["is_canon"],
-                "_db": pa.array([], pa.int32())})
-        if ids.dtype == object:
-            h = pd.util.hash_array(ids.astype(object)) % num_buckets
-        else:
-            h = ids.astype(np.uint64) % np.uint64(num_buckets)
-        return t.append_column(
-            "_db", pa.array(h.astype(np.int32))).replace_schema_metadata(
-            None)
 
     def pack(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values([id_col, "pos"], kind="mergesort")
@@ -1458,8 +1385,10 @@ def _substring_rebuild_joined(ds: "ray.data.Dataset",
         return pa.table({id_col: pa.array(ids[starts]),
                          "mpos": mpos, "mcanon": mcan})
 
+    # drop the fold's pos=-1 sentinels before the exchange
     packed = bucket_fold(mask_ds.map_batches(
-        add_db, batch_format="pyarrow"), "_db", pack)
+        lambda t: t.filter(pc.greater_equal(t["pos"], 0)),
+        batch_format="pyarrow"), [id_col], pack)
 
     num_partitions = max(
         1, int(ray.cluster_resources().get("CPU", 8)) // 8)

@@ -102,9 +102,8 @@ def discovery_status(
     per-batch partial first (idxmin) + ONE bucketed exchange on endpoint
     hash — tiny rows only, never the full stream and never a driver set.
     """
-    from ..partitioning import bucket_fold, spread_num_buckets
+    from ..partitioning import bucket_fold, pd_table
 
-    num_buckets = spread_num_buckets()
     statuses = np.array([r.status for r in rules], dtype=object)
     patterns = np.array([r.pattern for r in rules], dtype=object)
     messages = np.array([r.message for r in rules], dtype=object)
@@ -128,19 +127,10 @@ def discovery_status(
     KEY = ["endpoint", "receiver", "status", "pattern"]
 
     def local_first(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.loc[g.groupby(KEY, sort=False)[order_col].idxmin()]
-        return out.drop(columns=["_bucket"], errors="ignore")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            t["endpoint"].to_pandas().to_numpy(dtype=object)) % num_buckets
-        return t.append_column("_bucket", pa.array(h.astype(np.int32)))
-
-    from ..partitioning import pd_table
+        return g.loc[g.groupby(KEY, sort=False)[order_col].idxmin()]
 
     return bucket_fold(
         ds.map_batches(emit, batch_format="pyarrow")
         .map_batches(lambda t: pd_table(local_first(t.to_pandas())),
-                     batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        "_bucket", local_first, coalesce=1 << 17)
+                     batch_format="pyarrow"),
+        ["endpoint"], local_first, coalesce=True)

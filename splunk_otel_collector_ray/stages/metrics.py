@@ -145,13 +145,7 @@ def prometheus_histograms(
                     pc.match_substring_regex(t["name"], "_bucket$"))
         return t.filter(m)
 
-    from ..partitioning import bucket_fold, spread_num_buckets
-
-    nb = spread_num_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = t["src_row"].to_numpy(zero_copy_only=False) % nb
-        return t.append_column("_bucket", pa.array(h.astype(np.int32)))
+    from ..partitioning import bucket_fold
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         le_num = pd.to_numeric(g["le"].replace("+Inf", "inf"), errors="coerce")
@@ -165,9 +159,8 @@ def prometheus_histograms(
 
     return bucket_fold(
         ds.map_batches(fn, batch_format="pyarrow")
-        .map_batches(buckets_only, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        "_bucket", per_bucket, coalesce=1 << 17)
+        .map_batches(buckets_only, batch_format="pyarrow"),
+        ["src_row"], per_bucket, coalesce=True)
 
 
 # statsd line (+dogstatsd tags): name:value|type[|@rate][|#tags]
@@ -569,18 +562,11 @@ def span_durations(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     (components.go:347): duration of a tool turn = gap to the next turn in
     the same conversation (0 for a conversation's last turn).
 
-    Scale shape: conversations are bucketed (hash % B, B cluster-derived)
-    and each bucket's lead/shift runs as ONE vectorized pandas pass — same
-    pattern as recombine; a conversation never spans buckets.
+    Scale shape: one ``bucket_fold`` keyed on conv_id; each fold block's
+    lead/shift runs as ONE vectorized pandas pass — same pattern as
+    recombine; a conversation never spans fold blocks.
     """
-    from ..partitioning import bucket_fold, spread_num_buckets
-
-    nb = spread_num_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            t["conv_id"].to_pandas().to_numpy(dtype=object)) % nb
-        return t.append_column("_bucket", pa.array(h.astype(np.int32)))
+    from ..partitioning import bucket_fold
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
@@ -591,9 +577,8 @@ def span_durations(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         return out[["conv_id", "turn_idx", "tool", "duration_s"]]
 
     return bucket_fold(
-        ds.select_columns(["conv_id", "turn_idx", "role", "tool", "ts"])
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        "_bucket", per_bucket)
+        ds.select_columns(["conv_id", "turn_idx", "role", "tool", "ts"]),
+        ["conv_id"], per_bucket)
 
 
 def calculate_metric(
@@ -621,17 +606,7 @@ def calculate_metric(
                .groupby([*keys, name_col])
                .aggregate(Sum(value_col, alias_name="_sum")))
 
-    from ..partitioning import bucket_fold, spread_num_buckets
-
-    nb = spread_num_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = np.zeros(t.num_rows, dtype=np.uint64)
-        for k in keys:
-            h = h * np.uint64(0x9E3779B9) + pd.util.hash_array(
-                t[k].to_pandas().to_numpy(dtype=object))
-        return t.append_column("_bucket",
-                               pa.array((h % nb).astype(np.int32)))
+    from ..partitioning import bucket_fold
 
     def ratio_bucket(df: pd.DataFrame) -> pd.DataFrame:
         wide = df.pivot_table(index=keys, columns=name_col, values="_sum",
@@ -656,9 +631,7 @@ def calculate_metric(
     # both metrics of a group co-locate via one bucketed exchange of the
     # tiny reduced rows (never repartition(1) — group cardinality can be
     # 10^8 at corpus scale); one vectorized pivot per output block
-    return bucket_fold(reduced.map_batches(add_bucket,
-                                           batch_format="pyarrow"),
-                       "_bucket", ratio_bucket, coalesce=1 << 17)
+    return bucket_fold(reduced, keys, ratio_bucket, coalesce=True)
 
 
 def span_duration_histogram(
@@ -724,32 +697,21 @@ def dimension_upsert(
     Scale shape: per-batch partial last-row (vectorized idxmax) shrinks each
     block to ≤ one row per key before the keyed shuffle.
     """
-    from ..partitioning import bucket_fold, spread_num_buckets
-
-    nb = spread_num_buckets()
+    from ..partitioning import bucket_fold
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.select([key, order, *values]).to_pandas()
         keep = df.loc[df.groupby(key, sort=False)[order].idxmax()]
         return pd_table(keep)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t[key].to_pandas().to_numpy()
-        h = (pd.util.hash_array(kv.astype(object))
-             if kv.dtype == object else kv.astype(np.int64) % (1 << 62))
-        return t.append_column("_bucket",
-                               pa.array((h % nb).astype(np.int32)))
-
     def final_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        keep = g.loc[g.groupby(key, sort=False)[order].idxmax()]
-        return keep.drop(columns=["_bucket"])
+        return g.loc[g.groupby(key, sort=False)[order].idxmax()]
 
     # per-batch partials shrink to ≤1 row/key/batch; the final reduce runs
     # one vectorized pandas pass per block of complete hash buckets
     return bucket_fold(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        "_bucket", final_bucket, coalesce=1 << 17)
+        ds.map_batches(partial, batch_format="pyarrow"),
+        [key], final_bucket, coalesce=True)
 
 
 # --- metricstransform aggregate operations ---------------------------------

@@ -84,4 +84,4 @@ def pack_documents(ds: "ray.data.Dataset", window: int = 512,
     from ..partitioning import bucket_fold
 
     return bucket_fold(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                       "_bk", bucket_scan)
+                       ["_bk"], bucket_scan)

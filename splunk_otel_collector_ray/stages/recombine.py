@@ -12,14 +12,14 @@ within one `conv_id`, in `turn_idx` order (SURVEY.md §7.4 — the one truly
 stateful cross-row parse, confined to per-conv groups).
 
 Scale shape: the stitch needs all fragments of a conversation co-located, but
-NOT one task per conversation. We bucket conversations (hash(conv) % B) and
-run ONE Arrow pass per output block of the bucketed exchange
-(`partitioning.bucket_fold`): `partitioning.segment_fold` sorts by
-(conv, turn), numbers records with a per-conversation prefix sum of the flag
-and joins each record's lines with `ListArray` + `pc.binary_join` — B grouped
-tasks instead of millions, and no pandas or per-conv Python in the fold.
-Hot-key safety: a single conversation can't exceed a bucket, and B scales
-with the cluster. The corpus writer also keeps conversations within one
+NOT one task per conversation. ONE exchange keyed on conv_id
+(`partitioning.bucket_fold`) runs ONE Arrow pass per output block:
+`partitioning.segment_fold` sorts by (conv, turn), numbers records with a
+per-conversation prefix sum of the flag and joins each record's lines with
+`ListArray` + `pc.binary_join` — a few grouped tasks instead of millions,
+and no pandas or per-conv Python in the fold. Hot-key safety: a single
+conversation can't exceed a bucket, and the bucket domain scales with the
+cluster. The corpus writer also keeps conversations within one
 input file, so a per-file variant needs no shuffle at all.
 
 Record identity (shared with the DuckDB oracle): within a conv's fragment
@@ -38,30 +38,14 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
-from ..partitioning import bucket_fold, segment_fold, spread_num_buckets
+from ..partitioning import bucket_fold, segment_fold
 
 KEY, ORDER = "conv_id", "turn_idx"
-
-
-def _bucketed(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
-    """Keep (conv_id, turn_idx, ``col``) and tag each row with its
-    conversation's ``_bucket`` — the exchange key of both folds."""
-    num_buckets = spread_num_buckets()
-
-    def tag(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_array(
-            t[KEY].to_pandas().to_numpy(dtype=object)) % num_buckets
-        return t.select([KEY, ORDER, col]).append_column(
-            "_bucket", pa.array(h.astype(np.int32)))
-
-    return ds.map_batches(tag, batch_format="pyarrow")
 
 
 def stitch_records(t: pa.Table, body_col: str = "body") -> pa.Table:
@@ -79,7 +63,7 @@ def recombine_fragments(ds: "ray.data.Dataset", body_col: str = "body"
                         ) -> "ray.data.Dataset":
     """Stitch fragment rows into records: one output row per record with
     columns (conv_id, record_id, body, n_fragments, is_complete)."""
-    return bucket_fold(_bucketed(ds, body_col), "_bucket",
+    return bucket_fold(ds.select_columns([KEY, ORDER, body_col]), [KEY],
                        lambda t: stitch_records(t, body_col),
                        batch_format="pyarrow")
 
@@ -130,7 +114,7 @@ def multiline_frame(
     exclusive = line_end_pattern is not None
     pattern = line_end_pattern if exclusive else line_start_pattern
     return bucket_fold(
-        _bucketed(ds, text_col), "_bucket",
+        ds.select_columns([KEY, ORDER, text_col]), [KEY],
         lambda t: frame_lines(t, pattern, text_col, exclusive),
         batch_format="pyarrow")
 

@@ -611,7 +611,7 @@ def semdedup(
     each duplicate group's surviving representative is its least
     prototypical member.
 
-    Scale shape: one ``bucket_fold`` exchange on ``cluster % B`` (a
+    Scale shape: one ``bucket_fold`` keyed on the cluster (a
     cluster never splits across fold blocks); the fold runs one unit-row
     matmul per cluster — per-cluster tiles are the operator's bound, the
     same memory story as the paper's per-cluster pass. Vectors cross the
@@ -619,9 +619,8 @@ def semdedup(
     """
     import ray  # noqa: F401  (kmeans path spawns Ray work)
 
-    from ..partitioning import bucket_fold, spread_num_buckets
+    from ..partitioning import bucket_fold
 
-    num_buckets = spread_num_buckets()
     out_cluster = cluster_col or "cluster"
 
     sch = ds.schema()
@@ -646,18 +645,14 @@ def semdedup(
         m = _as_matrix(t[vec_col].to_pandas()).astype(np.float64)
         if cent_ref is not None:
             c = ray.get(cent_ref)
-            cl = _centroid_assign(m, c).astype(np.int64)
-            cl_arr = pa.array(cl)
+            cl_arr = pa.array(_centroid_assign(m, c).astype(np.int64))
         else:
             cl_arr = t[out_cluster]
-            cl = cl_arr.to_numpy(zero_copy_only=False)
         m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
         unit = pa.FixedSizeListArray.from_arrays(
             pa.array(m.ravel(), type=pa.float64()), m.shape[1])
         return pa.table({
-            id_col: t[id_col], out_cluster: cl_arr, "_unit": unit,
-            "_cb": pa.array((cl.astype(np.int64) % num_buckets)
-                            .astype(np.int32))})
+            id_col: t[id_col], out_cluster: cl_arr, "_unit": unit})
 
     def fold(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -695,4 +690,4 @@ def semdedup(
         return pd.concat(frames, ignore_index=True)
 
     units = src.map_batches(to_units, batch_format="pyarrow")
-    return bucket_fold(units, "_cb", fold)
+    return bucket_fold(units, [out_cluster], fold)

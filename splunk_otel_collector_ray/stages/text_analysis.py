@@ -548,24 +548,21 @@ def repeated_ngram_stats(
 
     Scale shape — fully distributed, no broadcast of the (potentially
     huge) frequent-gram set: per batch, one vectorized gram-hash pass and
-    a (gram_hash, doc_id) unique-pair shrink; ONE bucketed exchange on
-    ``hash % B``; within each bucket one pandas pass computes per-gram
+    a (gram_hash, doc_id) unique-pair shrink; ONE ``bucket_fold`` keyed
+    on the gram hash; within each fold block one pandas pass computes per-gram
     doc counts AND folds them straight into per-doc partials (the
     gram→doc join never leaves the bucket); a final tiny groupby(doc)
     sums the per-bucket partials. Text never shuffles.
     """
     from ray.data.aggregate import Sum
 
-    from ..partitioning import spread_num_buckets
-
-    num_buckets = spread_num_buckets()
+    from ..partitioning import bucket_fold
 
     def pair_shrink(t: pa.Table) -> pa.Table:
         h, doc = _token_ngram_hashes(t[text_col], n)
         empty = pa.table({
             id_col: pa.array([], pa.int64()),
-            "h": pa.array([], pa.int64()),
-            "_b": pa.array([], pa.int32())})
+            "h": pa.array([], pa.int64())})
         if not len(h):
             return empty
         order = np.lexsort((h, doc))
@@ -577,7 +574,6 @@ def repeated_ngram_stats(
         return pa.table({
             id_col: pa.array(ids[doc]),
             "h": pa.array(h.astype(np.int64)),
-            "_b": pa.array((h % np.uint64(num_buckets)).astype(np.int32)),
         })
 
     def bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
@@ -589,11 +585,9 @@ def repeated_ngram_stats(
             repeated_grams=("_r", "sum"), total_grams=("_r", "size"))
         return out.reset_index()
 
-    from ..partitioning import bucket_fold
-
     partials = bucket_fold(
         ds.map_batches(pair_shrink, batch_format="pyarrow"),
-        "_b", bucket_stats, coalesce=1 << 17)
+        ["h"], bucket_stats, coalesce=True)
     return partials.groupby(id_col).aggregate(
         Sum("repeated_grams", alias_name="repeated_grams"),
         Sum("total_grams", alias_name="total_grams"))
@@ -745,25 +739,18 @@ def inverted_index(
     the search-index build step over a document corpus.
 
     Scale shape: only distinct (token, doc) pairs move (batch-local fold
-    shrinks repeats first), bucketed by ``hash(token) % B`` with one
-    vectorized pandas fold per bucket building every posting string for its
+    shrinks repeats first), one ``bucket_fold`` keyed on the token with
+    one vectorized pandas fold per block building every posting string for its
     tokens — never one task per token. ``min_df`` prunes hapax tokens
     before the string build (they dominate raw vocabularies). Postings are
     comma-joined ids ascending — deterministic, replayed by
     ``STRING_AGG(… ORDER BY …)`` in the oracle twin.
     """
-    from ..partitioning import spread_num_buckets
-
-    num_buckets = spread_num_buckets()
+    from ..partitioning import bucket_fold
 
     pairs = ds.map_batches(
         lambda t: _tf_pairs(t, id_col, text_col).select([id_col, "token"]),
         batch_format="pyarrow")
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        tok = t["token"].to_pandas().to_numpy(dtype=object)
-        hb = (pd.util.hash_array(tok) % num_buckets).astype(np.int32)
-        return t.append_column("_hb", pa.array(hb))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["token", id_col], kind="mergesort")
@@ -772,10 +759,7 @@ def inverted_index(
         out = df_counts.reset_index()
         return out[out["df"] >= min_df]
 
-    from ..partitioning import bucket_fold
-
-    return bucket_fold(pairs.map_batches(add_bucket, batch_format="pyarrow"),
-                       "_hb", fold, coalesce=1 << 17)
+    return bucket_fold(pairs, ["token"], fold, coalesce=True)
 
 
 # template mask: any ASCII digit run collapses to '#'. RE2 on both sides

@@ -94,19 +94,10 @@ def session_windows(
     """Gap-based sessions per key: (key, session_id, session_start, n).
 
     New session when > gap since the key's previous event; per-key streams
-    are co-located via hash buckets (cluster-derived count) and processed
-    in one vectorized pass.
+    are co-located by one ``bucket_fold`` keyed on ``key`` and processed
+    in one vectorized pass per fold block.
     """
-    from ..partitioning import spread_num_buckets
-
-    num_buckets = spread_num_buckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        kv = t[key].to_pandas().to_numpy()
-        h = (pd.util.hash_array(kv.astype(object))
-             if kv.dtype == object else kv.astype(np.int64) % (1 << 62))
-        return t.append_column(
-            "_bucket", pa.array((h % num_buckets).astype(np.int32)))
+    from ..partitioning import bucket_fold
 
     order = [key, ts_col] + ([order_col] if order_col else [])
 
@@ -122,10 +113,7 @@ def session_windows(
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    from ..partitioning import bucket_fold
-
-    return bucket_fold(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                       "_bucket", per_bucket)
+    return bucket_fold(ds, [key], per_bucket)
 
 
 def drop_late(

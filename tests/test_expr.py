@@ -31,6 +31,11 @@ def test_in_and_matches():
     # stanza router expr: body matches "^\\d+" (logs_config_linux.yaml:346)
     f = compile_predicate(r"matches(body, '^\d+')")
     assert f(_batch()).tolist() == [True, False, True, False]
+    # RE2 semantics (Go regexp, DuckDB): \d is ASCII-only; null is False
+    assert f(pa.table({"body": ["٣:x", None]})).tolist() == [False, False]
+    # a pattern RE2 cannot compile is refused when the predicate compiles
+    with pytest.raises(ValueError):
+        compile_predicate(r"matches(body, '(?<=a)b')")
 
 
 def test_rejects_unsafe_expressions():

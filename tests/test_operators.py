@@ -486,6 +486,42 @@ def test_asof_join(ray_session):
     assert out.lid.dtype == np.int64   # left payload dtype restored
 
 
+def test_asof_join_int_key_null_in_some_rows(ray_session):
+    """An int64 ``by`` key that is null in one right row: equal keys must
+    still meet in one fold (the bucket hash follows the Arrow type, so a
+    block's nulls cannot move a value), the null key matches nothing and
+    ``k`` stays int64 — the values DuckDB's ASOF LEFT JOIN gives."""
+    import duckdb
+    import ray
+
+    from splunk_otel_collector_ray.stages.asof import asof_join
+
+    lt = pa.table({"k": pa.array([5, 6], pa.int64()),
+                   "t": pa.array([10, 10], pa.int64())})
+    rt = pa.table({"k": pa.array([5, None, 6], pa.int64()),
+                   "t": pa.array([5, 6, 5], pa.int64()),
+                   "rv": pa.array([50, 99, 60], pa.int64())})
+    out = asof_join(ray.data.from_arrow(lt), ray.data.from_arrow(rt),
+                    by="k", on="t", left_cols=[],
+                    right_cols=["rv"]).to_pandas().sort_values("k")
+    exp = duckdb.sql("SELECT l.k, r.rv FROM lt l ASOF LEFT JOIN rt r "
+                     "ON l.k = r.k AND l.t >= r.t ORDER BY l.k").fetchdf()
+    assert exp["rv"].tolist() == [50, 60]
+    assert out["rv"].tolist() == [50, 60]
+    assert out["k"].tolist() == [5, 6]
+    assert out["k"].dtype == np.int64
+    # a null left key matches nothing either (pandas' merge_asof alone
+    # pairs it with the null right row)
+    lt = pa.table({"k": pa.array([None], pa.int64()),
+                   "t": pa.array([10], pa.int64())})
+    out = asof_join(ray.data.from_arrow(lt), ray.data.from_arrow(rt),
+                    by="k", on="t", left_cols=[],
+                    right_cols=["rv"]).to_pandas()
+    exp = duckdb.sql("SELECT r.rv FROM lt l ASOF LEFT JOIN rt r "
+                     "ON l.k = r.k AND l.t >= r.t").fetchdf()
+    assert exp["rv"].isna().all() and out["rv"].isna().all()
+
+
 def test_hec_export_roundtrip(ray_session, tmp_path):
     import ray
 
