@@ -65,21 +65,31 @@ def _domain() -> int:
 def _key_hash(col: "pa.Array | pa.ChunkedArray") -> np.ndarray:
     """uint64 hash of one key column, dispatched on its ARROW type (never
     the NumPy dtype, which turns int64-with-nulls into float64 per block).
-    Nulls are filled per type first, so whether a block holds a null can
-    never move a value's bucket. Integer, boolean and temporal keys hash
-    as their int64 values."""
+    Equal keys hash equal whatever else their block holds: a null hashes
+    to 0 in every type; integer, boolean and temporal keys hash as their
+    int64 values, and so does a float key holding a whole number — a
+    pandas round trip turns an int64 block with a null into float64, and
+    its keys must keep their buckets. Beyond those, a key column must keep
+    one Arrow type across blocks (a timestamp keeps its unit)."""
     typ = col.type
     if pa.types.is_string(typ) or pa.types.is_large_string(typ):
-        fill = ""
+        v = pc.fill_null(col, "").to_numpy(zero_copy_only=False)
     elif pa.types.is_floating(typ):
-        fill = 0.0
+        f = pc.fill_null(col, 0.0).to_numpy(zero_copy_only=False) \
+            .astype(np.float64)
+        whole = np.isfinite(f) & (f == np.trunc(f)) & (np.abs(f) < 2.0**63)
+        v = np.where(whole, np.where(whole, f, 0).astype(np.int64),
+                     f.view(np.int64))
     else:
         if pa.types.is_temporal(typ):
             col = pc.cast(col, pa.int32() if typ.bit_width == 32
                           else pa.int64())
-        col, fill = pc.cast(col, pa.int64(), safe=False), 0
-    return pd.util.hash_array(
-        pc.fill_null(col, fill).to_numpy(zero_copy_only=False))
+        v = pc.fill_null(pc.cast(col, pa.int64(), safe=False), 0) \
+            .to_numpy(zero_copy_only=False)
+    h = pd.util.hash_array(v)
+    if col.null_count:
+        h[pc.is_null(col).to_numpy(zero_copy_only=False)] = 0
+    return h
 
 
 def pd_table(df: pd.DataFrame) -> pa.Table:
@@ -138,7 +148,9 @@ def bucket_fold(ds: "ray.data.Dataset", key_cols: "list[str]", fold,
     row's bucket in one fused map (the key columns' :func:`_key_hash`
     values combined by multiply-add in uint64, mod :func:`_domain`),
     coalesce, sort, then drop the internal bucket column before the fold
-    runs; the key columns stay in the rows the fold sees.
+    runs; the key columns stay in the rows the fold sees. A key column
+    must keep one Arrow type across blocks, up to what :func:`_key_hash`
+    forgives.
 
     ``coalesce``: for TINY-ROW exchanges (hash/pair/partial shrink streams
     — fixed-width columns, no text payload), fold many small input blocks

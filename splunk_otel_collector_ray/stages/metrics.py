@@ -700,9 +700,11 @@ def dimension_upsert(
     from ..partitioning import bucket_fold
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select([key, order, *values]).to_pandas()
-        keep = df.loc[df.groupby(key, sort=False)[order].idxmax()]
-        return pd_table(keep)
+        # pandas only picks the rows; Arrow's take keeps every column's
+        # type (to_pandas makes an int64 key holding a null float64)
+        t = batch.select([key, order, *values])
+        df = t.select([key, order]).to_pandas()
+        return t.take(df.groupby(key, sort=False)[order].idxmax().to_numpy())
 
     def final_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.loc[g.groupby(key, sort=False)[order].idxmax()]

@@ -522,6 +522,36 @@ def test_asof_join_int_key_null_in_some_rows(ray_session):
     assert exp["rv"].isna().all() and out["rv"].isna().all()
 
 
+def test_dimension_upsert_int_key_null_in_some_blocks(ray_session):
+    """dimension_upsert over blocks whose int64 key is null in some rows
+    of the even blocks and never null in the odd ones: every key still
+    ends as ONE row, the one with the greatest ``order`` (the per-block
+    partials must not leave a key typed int64 in one block and float64 in
+    another). Enough rows that the final exchange spans several blocks."""
+    import ray
+
+    from splunk_otel_collector_ray.stages.metrics import dimension_upsert
+
+    n_keys, n_blocks = 100_000, 6
+    rng = np.random.default_rng(7)
+    blocks = []
+    for i in range(n_blocks):
+        k = np.arange(n_keys, dtype=np.int64)
+        null = (k % 10 == 0) & (i % 2 == 0)
+        blocks.append(pa.table({
+            "k": pa.array(k, mask=null),
+            "o": pa.array(rng.permutation(n_keys * n_blocks)[:n_keys]),
+            "v": pa.array(np.full(n_keys, i, dtype=np.int64))}))
+    out = dimension_upsert(ray.data.from_arrow(blocks), "k", "o",
+                           ["v"]).to_pandas()
+    df = pa.concat_tables(blocks).to_pandas().dropna(subset=["k"])
+    truth = df.loc[df.groupby("k")["o"].idxmax()].set_index("k")
+    assert not out["k"].duplicated().any()
+    got = out.set_index("k").sort_index()
+    assert got.index.tolist() == truth.index.tolist()
+    assert got["v"].tolist() == truth["v"].tolist()
+
+
 def test_hec_export_roundtrip(ray_session, tmp_path):
     import ray
 

@@ -124,19 +124,22 @@ def test_correlation_store(ray_session):
     assert ray.get(store.emit_once.remote("ep3", now=220.0)) is False
 
 
-@pytest.mark.parametrize("seed,n_blocks,domain,kind", [
-    # production-shaped: spread domain >> blocks
+@pytest.mark.parametrize("seed,n_blocks,n_keys,kind", [
+    # production-shaped: distinct keys >> blocks
     pytest.param(0, 37, 64 * 64, "int", id="0-37-4096"),
-    # domain barely above block count
+    # distinct keys barely above block count
     pytest.param(1, 128, 256, "int", id="1-128-256"),
     pytest.param(2, 5, 4096, "int", id="2-5-4096"),  # few fat blocks
     (3, 37, 4096, "string"),
     (4, 37, 4096, "two_col"),  # (string, int64) key
     (5, 37, 4096, "timestamp"),
     (6, 37, 4096, "int_nulls"),  # even blocks hold nulls, odd blocks none
+    # even blocks carry the int key as float64 with nulls, as a pandas
+    # partial over a block holding a null does; odd blocks int64
+    (7, 37, 4096, "int_float"),
 ])
 def test_bucket_fold_never_splits_a_bucket(ray_session, seed, n_blocks,
-                                           domain, kind):
+                                           n_keys, kind):
     """THE bucket_fold correctness assumption, pinned directly: after the
     sort exchange, every key lands WHOLE in exactly one output block
     (Ray's range partitioner sends boundary-equal buckets to one side, and
@@ -145,56 +148,78 @@ def test_bucket_fold_never_splits_a_bucket(ray_session, seed, n_blocks,
     emits one (key, n, s) row per key IN ITS BLOCK — a key split across
     blocks would surface as duplicate key rows. Also checks the folded
     per-key sums against ground truth, and that the fold sees exactly
-    the input columns: the key columns, never the internal bucket."""
+    the input columns: the key columns, never the internal bucket. The
+    int rows run the default pandas fold over ``from_pandas`` blocks
+    (``b'pandas'`` metadata included); the other kinds need Arrow types
+    pandas would not keep, so they fold Arrow over ``from_arrow``."""
+    import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
 
-    from splunk_otel_collector_ray.partitioning import bucket_fold
+    from splunk_otel_collector_ray.partitioning import bucket_fold, pd_table
 
     rng = np.random.default_rng(seed)
     n = 60_000
-    # skewed key distribution (zipf-ish) over a configurable domain
-    v = (rng.zipf(1.3, n) * 2654435761 % domain).astype("int64")
+    # skewed key distribution (zipf-ish) over n_keys distinct values
+    v = (rng.zipf(1.3, n) * 2654435761 % n_keys).astype("int64")
     val = rng.integers(0, 1000, n, dtype="int64")
 
-    def block(i: int) -> pa.Table:
-        k = v[i::n_blocks]
-        if kind == "int":
-            cols = {"bucket": pa.array(k)}
-        elif kind == "string":
-            cols = {"k": pa.array([f"key-{x}" for x in k])}
-        elif kind == "two_col":
-            cols = {"a": pa.array([str(x % 37) for x in k]),
-                    "b": pa.array(k // 37)}
-        elif kind == "timestamp":
-            cols = {"ts": pa.array(k * 1_000_003, type=pa.timestamp("us"))}
-        else:
-            null = (np.arange(len(k)) % 10 == 0) & (i % 2 == 0)
-            cols = {"k": pa.array(k, mask=null)}
-        return pa.table({**cols, "val": pa.array(val[i::n_blocks])})
+    if kind == "int":
+        keys = ["bucket"]
+        df = pd.DataFrame({"bucket": v, "val": val})
+        ds = ray.data.from_pandas(
+            [df.iloc[i::n_blocks].reset_index(drop=True)
+             for i in range(n_blocks)])
 
-    blocks = [block(i) for i in range(n_blocks)]
-    keys = [c for c in blocks[0].column_names if c != "val"]
-    ds = ray.data.from_arrow(blocks)
+        def fold(d: "pd.DataFrame"):
+            g = d.groupby("bucket", sort=False)["val"].agg(
+                n="size", s="sum").reset_index()
+            return pd_table(g.assign(seen=",".join(d.columns)))
 
-    def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys, use_threads=False).aggregate(
-            [("val", "count"), ("val", "sum")])
-        seen = ",".join(t.column_names)
-        return g.append_column("seen", pa.array([seen] * g.num_rows))
+        out = bucket_fold(ds, keys, fold).to_pandas()
+    else:
+        def block(i: int) -> pa.Table:
+            k = v[i::n_blocks]
+            if kind == "string":
+                cols = {"k": pa.array([f"key-{x}" for x in k])}
+            elif kind == "two_col":
+                cols = {"a": pa.array([str(x % 37) for x in k]),
+                        "b": pa.array(k // 37)}
+            elif kind == "timestamp":
+                cols = {"ts": pa.array(k * 1_000_003,
+                                       type=pa.timestamp("us"))}
+            else:
+                null = (np.arange(len(k)) % 10 == 0) & (i % 2 == 0)
+                cols = {"k": pa.array(k, mask=null)}
+                if kind == "int_float" and i % 2 == 0:
+                    cols = {"k": pc.cast(cols["k"], pa.float64())}
+            return pa.table({**cols, "val": pa.array(val[i::n_blocks])})
 
-    out = bucket_fold(ds, keys, fold, batch_format="pyarrow").to_pandas()
+        blocks = [block(i) for i in range(n_blocks)]
+        keys = [c for c in blocks[0].column_names if c != "val"]
+        df = pd.concat([b.to_pandas() for b in blocks])
+        ds = ray.data.from_arrow(blocks)
+
+        def fold(t: pa.Table) -> pa.Table:
+            g = t.group_by(keys, use_threads=False).aggregate(
+                [("val", "count"), ("val", "sum")])
+            seen = ",".join(t.column_names)
+            g = g.select([*keys, "val_count", "val_sum"])
+            return g.rename_columns([*keys, "n", "s"]).append_column(
+                "seen", pa.array([seen] * g.num_rows))
+
+        out = bucket_fold(ds, keys, fold, batch_format="pyarrow").to_pandas()
     assert set(out["seen"]) == {",".join([*keys, "val"])}
     # exactly one fold row per distinct key == no key ever straddled an
     # output-block boundary
     assert not out.duplicated(keys).any()
-    df = pa.concat_tables(blocks).to_pandas()
     truth = df.groupby(keys, dropna=False)["val"].agg(n="size", s="sum")
     got = out.set_index(keys).sort_index()
     assert len(got) == len(truth)
     assert got.index.equals(truth.index)
-    assert (got["val_count"].to_numpy() == truth["n"].to_numpy()).all()
-    assert (got["val_sum"].to_numpy() == truth["s"].to_numpy()).all()
+    assert (got["n"].to_numpy() == truth["n"].to_numpy()).all()
+    assert (got["s"].to_numpy() == truth["s"].to_numpy()).all()
 
 
 def test_segment_fold_edge_cases():
