@@ -30,6 +30,8 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -236,6 +238,17 @@ def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
     }
 
 
+def tag_part(t: pa.Table) -> pa.Table:
+    """``run_resumable``'s part tag: the ``path`` column ``include_paths``
+    adds becomes ``part``, the file's base name without ``.parquet``. The
+    regex runs once per distinct path (a block reads one file) and is taken
+    back onto the rows."""
+    paths = pc.unique(t["path"])
+    base = pc.replace_substring_regex(paths, r"^.*/|\.parquet$", "")
+    part = pc.take(base, pc.index_in(t["path"], paths))
+    return t.drop_columns(["path"]).append_column("part", part)
+
+
 def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
     """Flagship run with per-partition manifests and exactly-once resume.
 
@@ -284,13 +297,6 @@ def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
         ds = ray.data.read_parquet(
             [p for _, p, _ in todo], columns=INPUT_COLUMNS,
             include_paths=True, override_num_blocks=len(todo))
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        def tag_part(t: "pa.Table") -> "pa.Table":
-            base = pc.replace_substring_regex(t["path"], r"^.*/|\.parquet$", "")
-            return t.drop_columns(["path"]).append_column("part", base)
-
         ds = build_logs_dataset(
             ds.map_batches(tag_part, batch_format="pyarrow"))
         # single pass: per-partition per-sink export + lineage partials

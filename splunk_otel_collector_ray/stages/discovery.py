@@ -11,8 +11,8 @@ Reference semantics (citations into /root/reference):
   suppresses repeat emissions (evaluator.go:112-115).
 
 Ray shape: rule masks are ONE vectorized pass each over the batch
-(first-match-wins via an unclaimed mask, the ParseStage classify pattern —
-each matcher only scans still-unclaimed rows); emit-once is a per-batch
+(first-match-wins via an unclaimed mask, a short-circuit cascade — each
+matcher only scans still-unclaimed rows); emit-once is a per-batch
 partial first + one bucketed exchange (never a driver-side seen-set).
 """
 
@@ -55,8 +55,8 @@ def evaluate_matches(batch: pa.Table, rules: list[MatchRule],
                      pattern_col: str) -> np.ndarray:
     """Per-record index of the FIRST matching rule (-1 = no match).
     Short-circuit: each rule's matcher only scans still-unclaimed rows
-    (the ParseStage classify shape — rows claimed by an earlier rule are
-    never rescanned by later regexes)."""
+    (rows claimed by an earlier rule are never rescanned by later
+    regexes)."""
     n = batch.num_rows
     idx = np.full(n, -1, dtype=np.int64)
     unclaimed = np.ones(n, dtype=bool)

@@ -18,12 +18,16 @@ chains (citations into /root/reference):
 
 Hot path is Arrow-native: classification and field extraction run through
 pyarrow.compute's RE2 kernels (`match_substring_regex`, `extract_regex`) on
-the zero-copy `text` column — no Python-level regex loop. Each family only
-records (row idx, Arrow values); body, severity (int8 level codes) and the
-attributes open-map (a real Arrow `map<string,string>` built by takes from
-flat offsets) are each assembled once per batch. Timestamps are sliced and
-parsed by Arrow kernels; only rows a fast path cannot prove equal go
-through pandas' strptime.
+the zero-copy `text` column — no Python-level regex loop. Classification
+is the router's first match over ``DETECT``, found by one RE2 gate (the
+alternation of every row; a line it rejects is plain) and a fixed
+bisection tree of alternations over ``DETECT`` slices, both derived from
+``DETECT`` at import: at most six scans per matched line instead of up to
+one per family. Each family only records (row idx, Arrow values); body,
+severity (int8 level codes) and the attributes open-map (a real Arrow
+`map<string,string>` built by takes from flat offsets) are each assembled
+once per batch. Timestamps are sliced and parsed by Arrow kernels; only
+rows a fast path cannot prove equal go through pandas' strptime.
 
 Each family's chain is one row of ``PLAN`` (timestamp layout, severity
 table, body), run by one generic loop; every timestamp goes through
@@ -47,6 +51,7 @@ Output schema (FIXTURES.md §2):
 from __future__ import annotations
 
 import binascii
+import re
 
 import numpy as np
 import pandas as pd
@@ -275,6 +280,35 @@ DETECT: list[tuple[str, str, str]] = [  # (family, kind, pattern)
     # (examples/otel-logs-sanitization-splunk/otel-collector-config.yml:6)
     ("pii", "regex", r"\d{4}-\d{3}-\d{4}"),
 ]
+
+
+def _detect_alt(rows: list[tuple[str, str, str]]) -> str:
+    """One RE2 pattern that matches a line iff some ``DETECT`` row of
+    ``rows`` does: a prefix row as its anchored literal, a regex row as a
+    non-capturing group with its group names dropped. The NCSA pair share
+    their names, and a regex engine may refuse a name used twice (pyarrow
+    16's RE2 accepts it, Python's ``re`` does not). Only ``(?P<name>``
+    changes, so an escaped ``\\(`` keeps its meaning."""
+    return "|".join(
+        "^" + re.escape(pat) if kind == "prefix"
+        else "(?:" + re.sub(r"\(\?P<\w+>", "(", pat) + ")"
+        for _, kind, pat in rows)
+
+
+def _bisect_nodes(lo: int, hi: int) -> dict[tuple[int, int], str]:
+    """The classify tree over ``DETECT[lo:hi]``: node (lo, hi) → the
+    alternation of its left half ``DETECT[lo:mid]``, mid = (lo + hi) // 2."""
+    if hi - lo < 2:
+        return {}
+    mid = (lo + hi) // 2
+    return {(lo, hi): _detect_alt(DETECT[lo:mid]),
+            **_bisect_nodes(lo, mid), **_bisect_nodes(mid, hi)}
+
+
+# classify's gate (a line some DETECT row matches) and its bisection tree,
+# both derived from DETECT: a new family is a DETECT row and nothing else
+_GATE = _detect_alt(DETECT)
+_NODES = _bisect_nodes(0, len(DETECT))
 
 
 def _np(arr) -> np.ndarray:
@@ -613,10 +647,9 @@ def _span_ids(batch: pa.Table) -> pa.Array:
         n, pa.py_buffer(offsets), pa.py_buffer(hexes))
 
 
-def _text(batch: pa.Table) -> pa.Array:
-    """The ``text`` column as one Array; a null line reads as "" (it
-    classifies as plain)."""
-    text = batch.column("text")
+def _text(text: pa.Array | pa.ChunkedArray) -> pa.Array:
+    """A ``text`` column as one Array; a null line reads as "" (it
+    classifies as plain and its body is "")."""
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
     return pc.fill_null(text, "") if text.null_count else text
@@ -626,36 +659,37 @@ class ParseStage:
     """Arrow-native parse stage for ``map_batches`` (RE2 kernels, no row loop)."""
 
     @staticmethod
-    def classify(text: pa.Array) -> tuple[np.ndarray, list[str]]:
+    def classify(text: pa.Array | pa.ChunkedArray
+                 ) -> tuple[np.ndarray, list[str]]:
         """First-match router → (int8 family codes, family name list).
 
         Codes (not object strings) keep the hot path allocation-free; code
-        len(names) == 'plain' fallback. Short-circuit evaluation: each
-        detect pattern only scans rows no earlier pattern claimed (first
-        match wins anyway), which cuts the RE2 row-scans from
-        #families × n to roughly the sum of the shrinking remainders —
-        the win that keeps 23 families near the 11-family parse cost.
+        len(names) == 'plain' fallback, also for a null line. One RE2 scan
+        of ``_GATE`` sends the rows no ``DETECT`` pattern matches to
+        'plain'. Every other row descends ``_NODES``: a node ``(lo, hi)``
+        scans its rows once, a hit goes to ``[lo, mid)`` and a miss to
+        ``[mid, hi)``. No pattern before ``lo`` matches a row at the node
+        and its first match lies in ``[lo, hi)``, so the leaf a row reaches
+        is its first match — no exclusivity among the patterns assumed.
+        A row costs at most 1 + ⌈log2 23⌉ scans, and the whole-line patterns
+        (``pii``, the NCSA pair) only see the rows of the last subtree.
         """
-        n = len(text)
-        codes = np.full(n, -1, dtype=np.int16)
-        names = []
-        unclaimed = np.ones(n, dtype=bool)
-        for i, (name, kind, pat) in enumerate(DETECT):
-            names.append(name)
-            idx = np.flatnonzero(unclaimed)
+        text = _text(text)
+        codes = np.full(len(text), len(DETECT), dtype=np.int8)
+        todo = [(0, len(DETECT), np.flatnonzero(
+            _np(pc.match_substring_regex(text, _GATE))))]
+        while todo:
+            lo, hi, idx = todo.pop()
             if not len(idx):
                 continue
-            sub = text if len(idx) == n else text.take(
-                pa.array(idx, type=pa.int64()))
-            if kind == "prefix":
-                m = pc.starts_with(sub, pat)
-            else:
-                m = pc.match_substring_regex(sub, pat)
-            hit = idx[_np(m)]
-            codes[hit] = i
-            unclaimed[hit] = False
-        codes[codes < 0] = len(names)
-        return codes.astype(np.int8), [*names, "plain"]
+            if hi - lo == 1:
+                codes[idx] = lo
+                continue
+            mid = (lo + hi) // 2
+            hit = _np(pc.match_substring_regex(
+                text.take(pa.array(idx, type=pa.int64())), _NODES[lo, hi]))
+            todo += [(lo, mid, idx[hit]), (mid, hi, idx[~hit])]
+        return codes, [*(name for name, _, _ in DETECT), "plain"]
 
     @classmethod
     def extract(cls, family: str, sub: pa.Array) -> dict[str, pa.Array]:
@@ -683,7 +717,7 @@ class ParseStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        text = _text(batch)
+        text = _text(batch.column("text"))
         ts_in_np = _np(batch.column("ts")).astype("datetime64[us]")
         codes, names = self.classify(text)
 
@@ -761,7 +795,7 @@ class ParseStage:
         the reference frames raw lines before the operator chain sees them."""
 
         def classify_batch(batch: pa.Table) -> pa.Table:
-            codes, names = cls.classify(_text(batch))
+            codes, names = cls.classify(batch.column("text"))
             return batch.append_column("log_format", pc.take(
                 pa.array(names, type=pa.string()),
                 pa.array(codes, type=pa.int8())))

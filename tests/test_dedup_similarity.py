@@ -1029,9 +1029,11 @@ def test_substring_dedup_join_path_equals_broadcast(ray_session):
 def test_substring_dedup_threshold_counts_real_masks_only(ray_session,
                                                           monkeypatch):
     """The broadcast-vs-join switch compares REAL mask rows against
-    max_broadcast_masks: with the real count exactly at the threshold and
-    per-block pos=-1 sentinels in the mask stream, the broadcast path
-    must run."""
+    max_broadcast_masks: with the real count exactly at the threshold the
+    broadcast path must run. A confirm fold over a duplicate-free block
+    emits a pos=-1 sentinel, which that count must leave out; whether one
+    reaches the end-to-end mask stream depends on which bucket its rows
+    share with real windows, so it is pinned on the fold itself."""
     import ray.data
 
     from splunk_otel_collector_ray.stages import dedup
@@ -1061,5 +1063,15 @@ def test_substring_dedup_threshold_counts_real_masks_only(ray_session,
                                 max_broadcast_masks=5).to_pandas()
     masks = folds[-1].to_pandas()
     assert (masks["pos"] >= 0).sum() == 5  # 3 span copies + 2 "a b c d e"
-    assert (masks["pos"] < 0).any()
     assert sorted(out["doc_id"]) == [1, 2, 7, *range(100, 106)]
+    # a duplicate-free block, and one holding only the candidates' gram=""
+    # sentinel: one pos=-1 row each, reusing a real id
+    for grams, pos in ((["w0 v0 u0 t0 s0", "v0 u0 t0 s0 r0"], [0, 1]),
+                       ([""], [-1])):
+        block = pd.DataFrame({
+            "doc_id": np.full(len(pos), 100, dtype=np.int64),
+            "pos": np.array(pos, dtype=np.int64), "gram": grams,
+            "whash": np.arange(len(pos), dtype=np.int64)})
+        sent = dedup._substring_confirm(block, "doc_id")
+        assert sent.to_dict("list") == {
+            "doc_id": [100], "pos": [-1], "is_canon": [True]}

@@ -195,6 +195,22 @@ def test_null_empty_and_garbage_text_fall_through_to_plain():
     assert out.log_format.iloc[0] == "plain" and out.body.iloc[0] == ""
 
 
+def test_classify_and_classify_fn_take_null_empty_and_garbage_lines():
+    """Callers outside ParseStage (logbench's replay,
+    scripts/kernel_bench.py, multiline framing) hand ``classify`` the raw
+    column: a null line is plain there too, chunked input included."""
+    lines = [None, "", "total garbage \x01\x02", "[x", None]
+    codes, names = ParseStage.classify(pa.array(lines, type=pa.string()))
+    assert [names[c] for c in codes] == [
+        "plain", "plain", "plain", "apache_error", "plain"]
+    chunked = pa.chunked_array([lines[:2], lines[2:]], type=pa.string())
+    assert ParseStage.classify(chunked)[0].tolist() == codes.tolist()
+    out = ParseStage.classify_fn()(pa.table({"text": chunked}))
+    assert out.column("log_format").to_pylist() == [
+        "plain", "plain", "plain", "apache_error", "plain"]
+    assert out.column("text").to_pylist() == lines  # input kept as is
+
+
 def test_span_ids_only_for_tool_calls():
     t = corpus.build_transcripts("sf0.001")
     df = ParseStage()(t).to_pandas()

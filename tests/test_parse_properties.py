@@ -1,6 +1,11 @@
-"""Property-based (hypothesis) check of the NCSA fast path: on any line,
-``ParseStage.extract`` must return exactly the fields of the shipped
-pattern (``RX``, logs_config_linux.yaml:51/:259).
+"""Property-based (hypothesis) checks of the parse stage's two fast paths.
+
+``ParseStage.classify`` (a gate plus a bisection tree over ``DETECT``
+alternations) must equal the first-match cascade of the ``DETECT`` rows on
+any line; the cascade is kept here as the reference.
+
+The NCSA fast path: on any line, ``ParseStage.extract`` must return exactly
+the fields of the shipped pattern (``RX``, logs_config_linux.yaml:51/:259).
 
 Real combined and common lines are edited by inserting, replacing or
 deleting the characters the twin's guard and classes hinge on — brackets,
@@ -10,12 +15,139 @@ real field values (so a field gains a delimiter while the rest of the line
 keeps its shape). Three edits in four land next to a delimiter, where a
 wrong split would show; half of those put another delimiter there."""
 
+import re
+
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splunk_otel_collector_ray.stages.parse import NCSA_TWIN, RX, ParseStage
+from splunk_otel_collector_ray import corpus
+from splunk_otel_collector_ray.stages.parse import (
+    _GATE, _NODES, DETECT, NCSA_TWIN, RX, ParseStage, _detect_alt)
+
+
+def cascade(text: pa.Array) -> np.ndarray:
+    """The stanza router as written: each ``DETECT`` row in order, first
+    match wins, a null line is plain."""
+    text = pc.fill_null(text, "")
+    codes = np.full(len(text), len(DETECT), dtype=np.int8)
+    open_ = np.ones(len(text), dtype=bool)
+    for i, (_, kind, pat) in enumerate(DETECT):
+        m = (pc.starts_with(text, pat) if kind == "prefix"
+             else pc.match_substring_regex(text, pat))
+        hit = open_ & m.to_numpy(zero_copy_only=False)
+        codes[hit] = i
+        open_ &= ~hit
+    return codes
+
+
+_SAMPLE = corpus.build_transcripts("sf0.001")["text"]
+_SAMPLE_CODES = cascade(_SAMPLE)
+# a few real lines of every family (plain included)
+FAMILY_LINES = [_SAMPLE[int(j)].as_py() for code in range(len(DETECT) + 1)
+                for j in np.flatnonzero(_SAMPLE_CODES == code)[:6]]
+PROSE = ["The deploy went fine; I'll check the logs (again) tomorrow.",
+         "Sure: run `ls -la` then [edit] the <config> file #1.",
+         "SELECTED items 2026-01-01 at 12:00 | ok",
+         "Jan 1 we met at 10:00 at host-0 about it", "1:x (12) y", ""]
+# the literals the gate's alternatives hinge on: prefixes, the java/mysql
+# heads, brackets, redis's "(", ")" and ":" shapes, the pii digit runs
+LITERALS = ['{"log":', '{"Level":', '{"t":', "[", "]", "<", "\tat ",
+            "Caused by: ", "# Time: ", "SELECT ", "(", ")", ":", " | ", "#",
+            '"', " - ", "0000-000-0000", "123-456-7890", "1234-56-7890",
+            "1234-567-890", "\n", "é"]
+PHONE = "call 0014-042-0098 now"
+
+
+@st.composite
+def edited_detect_line(draw) -> str:
+    """A real family line or prose with a gate literal inserted, replaced
+    or deleted next to where the patterns look: at the start, or at a
+    character one of the literals holds."""
+    line = draw(st.sampled_from(FAMILY_LINES + PROSE))
+    for _ in range(draw(st.integers(1, 3))):
+        lit = draw(st.sampled_from(LITERALS))
+        spots = [i for i, c in enumerate(line) if c in '{[]<(): |#-"\t']
+        pos = (0 if not spots or not draw(st.integers(0, 2))
+               else draw(st.sampled_from(spots)) + draw(st.integers(0, 1)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "insert":
+            line = line[:pos] + lit + line[pos:]
+        elif op == "replace":
+            line = line[:pos] + lit + line[pos + len(lit):]
+        else:
+            line = line[:pos] + line[pos + draw(st.integers(1, 3)):]
+    return line
+
+
+@st.composite
+def two_pattern_line(draw) -> str:
+    """A family line that the unanchored pii pattern also matches."""
+    line = draw(st.sampled_from(FAMILY_LINES))
+    pos = draw(st.integers(0, len(line)))
+    return line[:pos] + PHONE + line[pos:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(FAMILY_LINES + PROSE), edited_detect_line(),
+    two_pattern_line(), st.none(), st.text(max_size=40)),
+    min_size=1, max_size=24))
+# a redis handler and an apache_error line carrying a phone number: both
+# match two patterns, the first one must win
+@example(["1:signal-handler (1767225870) " + PHONE,
+          "[Thu Jan 01 00:02:43 2026] [core:alert] [pid 1:tid 1] " + PHONE])
+# an escaped "(" in redis_handler's pattern is a literal, not a group
+@example(["1:signal-handler 1767225870) x", "1:signal-handler (17672) x"])
+@example([None, "", "\n"])
+def test_classify_equals_first_match_cascade(lines):
+    text = pa.array(lines, type=pa.string())
+    codes, names = ParseStage.classify(text)
+    assert names == [name for name, _, _ in DETECT] + ["plain"]
+    assert codes.dtype == np.int8
+    assert codes.tolist() == cascade(text).tolist(), lines
+
+
+def test_classify_nodes_are_detect_alternations():
+    """The gate and every node are the alternation of their ``DETECT``
+    slice: one alternative per row, each matching the lines its row
+    matches. They compile under RE2 and hold no group name (so also under
+    an engine that refuses a name twice, like Python's ``re``), and the
+    nodes form the bisection tree: (0, n) and, under each (lo, hi),
+    (lo, mid) and (mid, hi)."""
+    lines = pa.array(FAMILY_LINES + PROSE + [
+        line + " " + PHONE for line in FAMILY_LINES], type=pa.string())
+
+    def matches(pat: str, kind: str = "regex") -> list[bool]:
+        m = (pc.starts_with(lines, pat) if kind == "prefix"
+             else pc.match_substring_regex(lines, pat))
+        return m.to_pylist()
+
+    def check(pat: str, rows: list) -> None:
+        alts = [_detect_alt([row]) for row in rows]
+        assert pat == "|".join(alts)
+        assert "(?P<" not in pat
+        re.compile(pat)
+        for alt, (_, kind, row_pat) in zip(alts, rows):
+            assert matches(alt) == matches(row_pat, kind), (alt, row_pat)
+        hit = np.any([matches(alt) for alt in alts], axis=0)
+        assert matches(pat) == hit.tolist()
+
+    n = len(DETECT)
+    check(_GATE, DETECT)
+    want, todo = set(), [(0, n)]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            continue
+        mid = (lo + hi) // 2
+        want.add((lo, hi))
+        todo += [(lo, mid), (mid, hi)]
+        check(_NODES[lo, hi], DETECT[lo:mid])
+    assert set(_NODES) == want
+
 
 CHARS = [" ", "[", "]", '"', "\n", "0", "a", "-", "é"]
 DELIMS = ' []"'
