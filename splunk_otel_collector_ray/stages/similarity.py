@@ -9,6 +9,8 @@ matching buckets — same broadcast pattern, plus a bucket column to co-locate.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -19,6 +21,17 @@ import ray.data
 
 def _as_matrix(col: pd.Series) -> np.ndarray:
     return np.stack(col.to_numpy())
+
+
+def _drain(ds: "ray.data.Dataset") -> pd.DataFrame:
+    """``ds.to_pandas()`` for a pipeline with actor pools, giving the pools'
+    CPUs back before returning. A consumed Dataset's actors live until
+    cyclic GC frees their handles, and a following pipeline that needs more
+    CPUs than are left (``ivf_topk`` and ``lsh_topk`` need three) stalls
+    until Ray's resource-deadlock check happens to trigger that GC."""
+    out = ds.to_pandas()
+    gc.collect()
+    return out
 
 
 class BruteForceTopK:
@@ -99,11 +112,11 @@ def ann_topk(
     qids = qdf[id_col].to_numpy()
     qm = _as_matrix(qdf[vec_col])
     ref = ray.put((qids, qm))
-    local = ds.map_batches(
+    local = _drain(ds.map_batches(
         BruteForceTopK, fn_constructor_kwargs={"queries_ref": ref, "k": k,
                                                "vec_col": vec_col, "id_col": id_col},
         batch_format="pyarrow", concurrency=(1, 8),
-    ).to_pandas()
+    ))
     return _final_topk(local, k)
 
 
@@ -374,11 +387,11 @@ def ivf_topk(
         lambda t: t.filter(pc.is_in(t["ivf_list"], value_set=lists)),
         batch_format="pyarrow")
     ref = ray.put((qids, qm, probe_matrix))
-    local = cand.map_batches(
+    local = _drain(cand.map_batches(
         BruteForceTopK, fn_constructor_kwargs={
             "queries_ref": ref, "k": k, "vec_col": vec_col,
             "id_col": id_col, "bucket_col": "ivf_list"},
-        batch_format="pyarrow", concurrency=(1, 8)).to_pandas()
+        batch_format="pyarrow", concurrency=(1, 8)))
     return _final_topk(local, k)
 
 
@@ -432,11 +445,11 @@ def lsh_topk(
 
     cand = bucketed.map_batches(in_buckets, batch_format="pyarrow")
     ref = ray.put((qids, qm, probe_matrix))
-    local = cand.map_batches(
+    local = _drain(cand.map_batches(
         BruteForceTopK, fn_constructor_kwargs={
             "queries_ref": ref, "k": k, "vec_col": vec_col,
             "id_col": id_col, "bucket_col": "lsh_bucket"},
-        batch_format="pyarrow", concurrency=(1, 8)).to_pandas()
+        batch_format="pyarrow", concurrency=(1, 8)))
     return _final_topk(local, k)
 
 

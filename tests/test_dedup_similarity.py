@@ -304,6 +304,36 @@ def test_ivf_topk_recall_vs_bruteforce(ray_session, sf_dir):
     assert approx.equals(ivf_topk(ds, qids, k=10, nlist=16, nprobe=4))
 
 
+def test_topk_searches_return_with_actor_pools_released(ray_session, sf_dir):
+    """Each search scores in a BruteForceTopK actor pool. A consumed
+    Dataset's actor handles sit in a reference cycle, and their workers
+    hold CPUs until cyclic GC frees them; ivf_topk and lsh_topk need three
+    of the session's four CPUs, so a search run right after another one
+    waited on them. Every search must return with no map-worker handle
+    left in the heap."""
+    import gc
+
+    import ray.data
+    from ray.actor import ActorHandle
+
+    from splunk_otel_collector_ray.stages.similarity import (
+        ann_topk,
+        ivf_topk,
+        lsh_topk,
+    )
+
+    def map_workers():
+        return [h for h in gc.get_objects() if isinstance(h, ActorHandle)
+                and "MapWorker" in
+                h._ray_actor_creation_function_descriptor.class_name]
+
+    gc.collect()
+    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    for search in (ann_topk, ivf_topk, lsh_topk):
+        search(ds, [0, 1, 2], k=10)
+        assert map_workers() == [], search.__name__
+
+
 def _exact_pairs_reference(ds, threshold):
     """Driver-side all-pairs reference (small N only — the testing oracle
     the distributed block-pair sweep is checked against)."""
