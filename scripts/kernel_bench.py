@@ -4,12 +4,16 @@ Times the parse kernel (also split into the classify router and the rest:
 extraction plus ts/severity/attribute assembly), the recombine stitch fold
 and the doc-stats kernels over the sf0.1 corpus IN-PROCESS with no Ray —
 pure pyarrow/pandas compute on one core.
-The sandbox VM's shared-host CPU steal inflates PARALLEL wall times by up
-to ~50% between same-binary captures (see BASELINE.md variance note); the
-single-threaded kernel is immune to scheduler contention, so:
+A shared host's CPU steal inflates PARALLEL wall times by up to ~50%
+between same-code captures (see BASELINE.md variance note). The
+single-threaded kernel is less exposed, but not immune: on a 1-vCPU shared
+VM, four runs of the same code read ``parse_kernel_sec`` at sf0.1 as 3.25,
+3.53, 4.18 and 4.53 s. A single run cannot separate a ±15% code change from
+host noise, so run parent and change alternately several times and compare
+the medians:
 
-  - kernel time flat across captures + parallel time moved  → VM steal
-  - kernel time moved                                       → code change
+  - kernel medians flat + parallel time moved  → host noise
+  - kernel medians moved                       → code change
 
 Usage: python scripts/kernel_bench.py [sf_dir]   (default /root/testdata/sf0.1)
 Prints one JSON line; record it in BASELINE.md when re-pinning.

@@ -56,16 +56,18 @@ def build_dim_table() -> pd.DataFrame:
     )
 
 
-def conv_bucket(conv_id_col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+def conv_bucket(conv_id_col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """conv-00000123 -> 123 % 64 (SQL: CAST(conv_id[6:] AS INT) % 64).
 
-    Arrow-native: slice+cast are C kernels; no per-row Python strings."""
+    int64; a null conv_id has a null bucket, as in SQL. Arrow-native:
+    slice+cast are C kernels; no per-row Python strings."""
     import pyarrow.compute as pc
 
     seq = pc.cast(pc.utf8_slice_codeunits(conv_id_col, 5, 32), pa.int64())
-    arr = seq.to_numpy(zero_copy_only=False) if isinstance(
-        seq, (pa.Array, pa.ChunkedArray)) else np.asarray(seq)
-    return arr % N_BUCKETS
+    if isinstance(seq, pa.ChunkedArray):
+        seq = seq.combine_chunks()
+    return pa.array(seq.fill_null(0).to_numpy() % N_BUCKETS,
+                    mask=seq.is_null().to_numpy(zero_copy_only=False))
 
 
 class EnrichStage:
@@ -96,10 +98,11 @@ class EnrichStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        b = pa.array(conv_bucket(batch.column("conv_id")), type=pa.int32())
+        b = conv_bucket(batch.column("conv_id"))
         cols = dict(zip(batch.column_names, batch.columns))
         # enrichment dims OVERRIDE existing record columns of the same name
-        # (extraDimensions merge semantics, output.go:256-259)
+        # (extraDimensions merge semantics, output.go:256-259); a null
+        # bucket takes null dims
         for c in self.DIM_COLS:
             cols[c] = pc.take(self.lookup[c], b)
         cols["com.splunk.source"] = pa.nulls(
@@ -130,14 +133,14 @@ def enrich_via_join(ds, dims: pd.DataFrame | None = None,
     dims_ds = ray.data.from_pandas(dims if dims is not None else build_dim_table())
 
     def add_key(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "dim_key", pa.array(conv_bucket(t.column("conv_id")),
-                                type=pa.int64()))
+        return t.append_column("dim_key", conv_bucket(t.column("conv_id")))
 
     keyed = ds.map_batches(add_key, batch_format="pyarrow")
-    # aggregators at num_cpus=0: they buffer/finalize; whole-CPU requests
+    # left outer: a null bucket (null conv_id) keeps its row with null
+    # dims, as in the broadcast lookup; an inner join would drop it.
+    # Aggregators at num_cpus=0: they buffer/finalize; whole-CPU requests
     # can starve the concurrently running map tasks on small clusters
-    return keyed.join(dims_ds, join_type="inner",
+    return keyed.join(dims_ds, join_type="left_outer",
                       num_partitions=num_partitions, on=("dim_key",),
                       aggregator_ray_remote_args={"num_cpus": 0})
 

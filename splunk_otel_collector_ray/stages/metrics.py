@@ -329,7 +329,11 @@ def parse_wavefront_text(batch: pa.Table, text_col: str = "text") -> pa.Table:
     value = pd.to_numeric(st.field("value").to_pandas()[valid],
                           errors="coerce").astype(np.float64)
     epoch = pd.to_numeric(st.field("ts").to_pandas()[valid], errors="coerce")
-    ts = pd.to_datetime(epoch * 1e6, unit="us", errors="coerce")
+    # convert only the present epochs: on a NaN-holding float Series,
+    # pandas 2.2's unit conversion can raise FloatingPointError when the
+    # memory it reuses for the NaN slots holds huge doubles
+    ts = pd.to_datetime(epoch.dropna() * 1e6, unit="us",
+                        errors="coerce").reindex(epoch.index)
     source = st.field("source").to_pandas()[valid]
     tags = st.field("tags").to_pandas()[valid].fillna("")
     return pa.table({

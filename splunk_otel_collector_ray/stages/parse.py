@@ -624,15 +624,18 @@ def _scatter(base: pa.Array, parts: list[tuple[np.ndarray, pa.Array]]
 def _span_ids(batch: pa.Table) -> pa.Array:
     """Deterministic tool-call span ids (FIXTURES.md §2): surrogate for the
     collector's trace/span context on tool-call turns, "" elsewhere; raw
-    line sources (sources/filelog) carry no transcript columns → no spans.
+    line sources (sources/filelog) carry no transcript columns → no spans,
+    and a turn with a null conv_id or turn_idx has no id to derive → "".
     The ids are ``016x`` of conv number × 100000 + turn_idx; one hexlify of
     the big-endian u64s is the string array's data buffer as is."""
     n = batch.num_rows
     has_span = np.zeros(n, dtype=bool)
     if {"role", "tool", "conv_id", "turn_idx"} <= set(batch.column_names):
         has_span = _np(pc.fill_null(pc.and_(
-            pc.equal(batch.column("role"), "tool"),
-            pc.not_equal(batch.column("tool"), "")), False))
+            pc.and_(pc.equal(batch.column("role"), "tool"),
+                    pc.not_equal(batch.column("tool"), "")),
+            pc.and_(pc.is_valid(batch.column("conv_id")),
+                    pc.is_valid(batch.column("turn_idx")))), False))
     hexes = b""
     if has_span.any():
         sidx = pa.array(np.flatnonzero(has_span))

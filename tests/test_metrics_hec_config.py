@@ -12,6 +12,7 @@ from splunk_otel_collector_ray.stages.metrics import (
     MetricRenameChain,
     histogram_bucket_deltas,
     parse_prometheus_text,
+    parse_wavefront_text,
     rename_dimensions,
 )
 from splunk_otel_collector_ray.stages.recombine import (
@@ -600,3 +601,22 @@ def test_cardinality_limit_collapses_tail(ray_session):
     ).to_pandas().set_index("name")["n"].to_dict()
     # top-2 series survive; c+d+e collapse into one overflow bucket
     assert out == {"a": 5, "b": 3, "_overflow": 5}
+
+
+def test_wavefront_epochs_survive_reused_huge_doubles():
+    """Half the lines carry no epoch. Converting their NaN epochs made
+    pandas raise FloatingPointError whenever the memory it reused held
+    huge doubles; freeing such arrays first made every call raise."""
+    lines = [f"cpu.load.h{i % 4} {i * 0.5}"
+             + (f" {1767225600 + i * 10}" if i % 2 == 0 else "")
+             + f" source=host-{i % 8}"
+             + (f" env=prod dc=dc{i % 3}" if i % 4 == 0 else "")
+             for i in range(128)]
+    batch = pa.table({"text": pa.array(lines)})
+    for _ in range(20):
+        junk = [np.full(128, 1e308) for _ in range(8)]
+        del junk
+        out = parse_wavefront_text(batch)
+        ts = out["ts"].to_pylist()
+        assert [t is None for t in ts] == [i % 2 == 1 for i in range(128)]
+        assert out["ts"][0].value == 1767225600 * 1_000_000

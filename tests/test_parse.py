@@ -219,6 +219,25 @@ def test_span_ids_only_for_tool_calls():
     assert df.loc[has, "span_id"].str.len().eq(16).all()
 
 
+def test_span_id_empty_for_null_conv_id_or_turn_idx():
+    """A tool-call turn with a null conv_id or turn_idx has no id to
+    derive: its span is "", not the int64-min garbage of a NaN cast."""
+    import warnings
+
+    t = pa.table({
+        "conv_id": ["conv-00000123", None, "conv-00000002"],
+        "turn_idx": pa.array([1, 2, None], type=pa.int32()),
+        "role": ["tool"] * 3, "tool": ["bash"] * 3,
+        "text": ["ls", "ls", "ls"],
+        "ts": pa.array([pd.Timestamp("2026-03-01")] * 3,
+                       type=pa.timestamp("us")),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ParseStage()(t)
+    assert out["span_id"].to_pylist() == [f"{123 * 100_000 + 1:016x}", "", ""]
+
+
 def test_passthrough_columns_survive():
     t = corpus.build_transcripts("sf0.001").slice(0, 100)
     t = t.append_column("part", pa.array(["p0"] * 100))

@@ -34,6 +34,78 @@ def test_sinkwriter_retry_idempotent_and_empty_batch(tmp_path):
                             recursive=True)) == files1
 
 
+def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
+    """SinkWriter's one write plan on a parsed, enriched and routed batch of
+    the sf0.01 corpus: the int columns are delta-packed, the near-unique
+    strings carry no dictionary, every other leaf (the map's included)
+    keeps one, and pyarrow and DuckDB read back the per-sink split."""
+    import duckdb
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.stages.enrich import EnrichStage
+    from splunk_otel_collector_ray.stages.export import SinkWriter
+    from splunk_otel_collector_ray.stages.parse import ParseStage
+    from splunk_otel_collector_ray.stages.route import RouteStage
+
+    t = corpus.build_transcripts("sf0.01")
+    t = t.append_column("part", pa.array(["part-0000"] * t.num_rows))
+    batch = RouteStage()(EnrichStage()(ParseStage()(t)))
+    SinkWriter(str(tmp_path), partition_col="part")(batch)
+    files = sorted(glob.glob(f"{tmp_path}/part=part-0000/sink=*/*.parquet"))
+    assert len(files) == len(pc.unique(batch["sink"])) > 1
+    con = duckdb.connect()
+    for f in files:
+        sink = os.path.basename(os.path.dirname(f))[len("sink="):]
+        want = batch.filter(pc.equal(batch["sink"], sink))
+        md = pq.ParquetFile(f).metadata
+        enc: dict[str, set] = {}
+        for g in range(md.num_row_groups):
+            for i in range(md.num_columns):
+                c = md.row_group(g).column(i)
+                enc.setdefault(c.path_in_schema, set()).update(c.encodings)
+        for col in ("ts", "observed_ts", "turn_idx"):
+            assert "DELTA_BINARY_PACKED" in enc[col], (f, col, enc[col])
+            assert "RLE_DICTIONARY" not in enc[col], (f, col, enc[col])
+        for col in ("body", "span_id"):
+            assert "RLE_DICTIONARY" not in enc[col], (f, col, enc[col])
+        for col in ("attributes.key_value.key", "attributes.key_value.value",
+                    "log_format", "part"):
+            assert "RLE_DICTIONARY" in enc[col], (f, col, enc[col])
+        assert pq.read_table(f).equals(want)
+        con.register("want", want)
+        for a, b in ((f"read_parquet('{f}')", "want"),
+                     ("want", f"read_parquet('{f}')")):
+            assert con.execute(f"SELECT count(*) FROM (SELECT * FROM {a} "
+                               f"EXCEPT ALL SELECT * FROM {b})"
+                               ).fetchone() == (0,), (f, a)
+        assert con.execute(f"SELECT count(*) FROM read_parquet('{f}')"
+                           ).fetchone() == (want.num_rows,)
+        con.unregister("want")
+
+
+def test_write_plan_names_nested_leaf_paths(tmp_path):
+    """``use_dictionary`` lists the Parquet leaf paths pyarrow writes for
+    list, map and struct columns, and a table lacking the planned columns
+    still writes with the plan."""
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray.stages.export import write_plan
+
+    t = pa.table({
+        "tags": pa.array([["a", "b"]]),
+        "kv": pa.array([[("k", [1])]],
+                       type=pa.map_(pa.string(), pa.list_(pa.int64()))),
+        "pt": pa.array([{"x": 1, "y": "a"}]),
+        "body": ["line"],
+    })
+    plan = write_plan(t.schema)
+    pq.write_table(t, tmp_path / "t.parquet", **plan)
+    leaves = [c.path for c in pq.ParquetFile(tmp_path / "t.parquet").schema]
+    assert plan["use_dictionary"] == [p for p in leaves if p != "body"]
+
+
 def test_entry_smoke(ray_session):
     import __ray_entry__ as e
 

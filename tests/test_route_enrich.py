@@ -78,13 +78,30 @@ def test_enrich_lookup_and_override():
     assert out["com.splunk.sourcetype"].tolist() == ["plain", "syslog"]
 
 
+def test_enrich_null_conv_id_takes_null_dims():
+    """A null conv_id has no bucket (the oracle's CAST(...) % 64 is NULL),
+    so its dims are null; the other rows keep theirs."""
+    t = _batch([
+        {"conv_id": None, "role": "user", "tool": "",
+         "severity_number": 0, "log_format": "plain"},
+        {"conv_id": "conv-00000065", "role": "user", "tool": "",
+         "severity_number": 0, "log_format": "syslog"},
+    ])
+    out = EnrichStage()(t)
+    for c in EnrichStage.DIM_COLS:
+        assert out[c][0].as_py() is None
+    assert out["k8s.pod.name"].to_pylist() == [None, "pod-01"]
+    assert out["com.splunk.source"].to_pylist() == ["transcripts"] * 2
+
+
 def test_dim_table_deterministic():
     assert build_dim_table().equals(build_dim_table())
 
 
 def test_enrich_join_variant_matches_broadcast(ray_session):
     """Shuffle-join enrichment (large-dim path) must produce the same dim
-    values as the broadcast lookup."""
+    values as the broadcast lookup, null conv_id rows (null dims) included."""
+    import pyarrow.compute as pc
     import ray.data
 
     from splunk_otel_collector_ray import corpus
@@ -95,6 +112,8 @@ def test_enrich_join_variant_matches_broadcast(ray_session):
 
     t = corpus.build_transcripts("sf0.001").slice(0, 2000)
     t = t.append_column("log_format", pa.array(["plain"] * 2000))
+    t = t.set_column(0, "conv_id", pc.if_else(
+        pa.array(np.arange(2000) % 500 == 7), None, t["conv_id"]))
     cols = ["conv_id", "turn_idx", "k8s.pod.name", "k8s.namespace.name",
             "cloud.provider", "host.name"]
     joined = (
