@@ -459,6 +459,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         grouped_sum,
     )
     from splunk_otel_collector_ray.stages import dedup as dd
+    from splunk_otel_collector_ray.stages import stage_fn
     from splunk_otel_collector_ray.stages import text_analysis as ta
     from splunk_otel_collector_ray.stages.recombine import recombine_fragments
     from splunk_otel_collector_ray.stages.sample import (
@@ -1503,14 +1504,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         docs = _table(sf, "documents")
         cleaned = docs.map_batches(
-            ta.CleanStage, fn_constructor_kwargs={"keep_text": True},
-            batch_format="pyarrow", concurrency=(1, 4)
+            stage_fn(ta.CleanStage, keep_text=True), batch_format="pyarrow"
         ).select_columns(["doc_id", "text"])
         deduped = dd.exact_dedup_rows(cleaned, col="text", id_col="doc_id")
         ref = ray.put(ta.build_eval_ngram_hashes(docs))
         flagged = deduped.map_batches(
-            ta.DecontaminateStage, fn_constructor_args=(ref,),
-            batch_format="pyarrow", concurrency=(1, 4))
+            stage_fn(ta.DecontaminateStage, ref), batch_format="pyarrow")
         surv = flagged.map_batches(
             lambda t: t.filter(pc.invert(t["contaminated"].combine_chunks())),
             batch_format="pyarrow")
@@ -1614,8 +1613,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = _table(sf, "documents")
         ref = ray.put(ta.build_eval_ngram_hashes(ds))
         return ds.map_batches(
-            ta.DecontaminateStage, fn_constructor_args=(ref,),
-            batch_format="pyarrow", concurrency=(1, 4)
+            stage_fn(ta.DecontaminateStage, ref), batch_format="pyarrow"
         ).select_columns(["doc_id", "contaminated"])
 
     def q_docs_chunks(sf):
@@ -1791,9 +1789,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ds = _table(sf, "documents")
         ref = ray.put(ta.build_eval_ngram_hashes(ds))
         return ds.map_batches(
-            ta.DecontaminateStage, fn_constructor_args=(ref,),
-            fn_constructor_kwargs={"fractions": True},
-            batch_format="pyarrow", concurrency=(1, 4)
+            stage_fn(ta.DecontaminateStage, ref, fractions=True),
+            batch_format="pyarrow"
         ).select_columns(["doc_id", "n_grams", "n_hit",
                           "contamination_frac", "contaminated_hi"])
 
@@ -2267,14 +2264,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q_docs_clean(sf):
         # composite cleaning gate: token bounds + quality ratios +
-        # repetition caps + language allowlist in one fused actor-pool
+        # repetition caps + language allowlist in one fused task-function
         # pass; emits surviving docs with their signals
         return _table(sf, "documents").map_batches(
-            ta.CleanStage, batch_format="pyarrow", concurrency=(1, 4))
+            stage_fn(ta.CleanStage), batch_format="pyarrow")
 
     def q_docs_langid(sf):
         ds = _table(sf, "documents").map_batches(
-            ta.LangIdStage, batch_format="pyarrow", concurrency=(1, 4))
+            stage_fn(ta.LangIdStage), batch_format="pyarrow")
         return ds.select_columns(["doc_id", "pred_lang"])
 
     def q_docs_fingerprint(sf):
@@ -3024,7 +3021,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q_multimodal_features(sf):
         # REAL payloads since r4: actual PNGs/WAVs (stdlib codecs), feature
-        # chunk-means computed from DECODED pixels/samples in the actor pool
+        # chunk-means computed from DECODED pixels/samples per batch
         import ray.data
         from splunk_otel_collector_ray.stages.multimodal import (
             FeatureExtractStage,
@@ -3032,8 +3029,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
         ds = ray.data.from_arrow(make_real_items(64))
-        out = ds.map_batches(FeatureExtractStage, batch_format="pyarrow",
-                             batch_size=16, concurrency=(1, 2))
+        out = ds.map_batches(stage_fn(FeatureExtractStage),
+                             batch_format="pyarrow", batch_size=16)
         return out.select_columns(["item_id", "mime", "width", "height"])
 
     def q_multimodal_decode(sf):
@@ -3078,9 +3075,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = ray.data.from_arrow(make_real_items(64))
         out = ds.map_batches(
-            ResizeStage, fn_constructor_kwargs={"target_width": 32,
-                                                "target_height": 32},
-            batch_format="pyarrow", batch_size=16, concurrency=(1, 2))
+            stage_fn(ResizeStage, target_width=32, target_height=32),
+            batch_format="pyarrow", batch_size=16)
 
         def meta(t: pa.Table) -> pa.Table:
             ln = pc.binary_length(t["payload"])
@@ -3101,9 +3097,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = ray.data.from_arrow(make_fake_items(64))
         out = ds.map_batches(
-            FrameSampleStage, fn_constructor_kwargs={"frame_bytes": 256,
-                                                     "stride": 4},
-            batch_format="pyarrow", batch_size=16, concurrency=(1, 2))
+            stage_fn(FrameSampleStage, frame_bytes=256, stride=4),
+            batch_format="pyarrow", batch_size=16)
         return out.select_columns(["item_id", "frame_idx"])
 
     def q_multimodal_video_frames(sf):
@@ -3120,8 +3115,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         ds = ray.data.from_arrow(make_video_items(24))
         frames = ds.map_batches(
-            FrameSampleStage, fn_constructor_kwargs={"stride": 2},
-            batch_format="pyarrow", batch_size=8, concurrency=(1, 2))
+            stage_fn(FrameSampleStage, stride=2),
+            batch_format="pyarrow", batch_size=8)
 
         def measure(t: pa.Table) -> pa.Table:
             dims = [decode_jpeg(p.as_py()).shape

@@ -494,8 +494,8 @@ def compile_statement(stmt: str) -> BatchFn:
 
 
 class OttlTransform:
-    """map_batches stage: ordered OTTL statement list, compiled once
-    (per actor / per worker process via ParseStage-style fn caching)."""
+    """map_batches stage: ordered OTTL statement list, compiled once on
+    the driver; the pickled instance ships to every task."""
 
     def __init__(self, statements: list[str]) -> None:
         self.statements = list(statements)

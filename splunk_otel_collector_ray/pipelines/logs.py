@@ -113,9 +113,9 @@ def corpus_row_count(sf_dir: str) -> int:
 def build_logs_dataset(src: "str | ray.data.Dataset") -> "ray.data.Dataset":
     """Compose parse → enrich → route over a transcript source (lazy).
 
-    All three are FUNCTION stages (state is a per-process cache or none):
-    Ray fuses Read→parse→enrich→route into one task chain, with zero
-    intermediate materialization and no actor-pool ramp-up.
+    All three are task-function stages (enrich builds its lookup once per
+    task, parse and route hold no state): Ray fuses Read→parse→enrich→route
+    into one task chain, with zero intermediate materialization.
     """
     # A string source gets the flagship's scale-adaptive read-block count
     # (run_flagship passes its sf_dir here): the fused

@@ -32,6 +32,7 @@ from ..partitioning import (
     pd_table,
     segment_fold,
 )
+from . import stage_fn
 
 MERSENNE = (1 << 61) - 1
 FNV_BASIS = np.uint64(14695981039346656037)
@@ -191,6 +192,8 @@ def frequent_content_hashes(ds: "ray.data.Dataset", col: str = "text",
     freq = bucket_fold(
         ds.map_batches(pair_shrink, batch_format="pyarrow"),
         ["content_hash"], bucket_count, coalesce=True).to_pandas()
+    if freq.empty:  # no repeats: Ray hands back a frame with no columns
+        return np.zeros(0, np.int64)
     return np.sort(freq["content_hash"].to_numpy().astype(np.int64))
 
 
@@ -208,17 +211,13 @@ def remove_boilerplate(ds: "ray.data.Dataset", col: str = "text",
 
     freq_ref = ray.put(frequent_content_hashes(ds, col, key_col, min_keys))
 
-    class Filter:
-        def __init__(self) -> None:
-            self.freq = ray.get(freq_ref)
+    def drop_frequent(t: pa.Table) -> pa.Table:
+        t = add_content_hash(t, col)
+        h = t["content_hash"].to_numpy(zero_copy_only=False)
+        out = t.filter(pa.array(~np.isin(h, ray.get(freq_ref))))
+        return out.drop_columns(["content_hash"])
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = add_content_hash(t, col)
-            h = t["content_hash"].to_numpy(zero_copy_only=False)
-            out = t.filter(pa.array(~np.isin(h, self.freq)))
-            return out.drop_columns(["content_hash"])
-
-    out = ds.map_batches(Filter, batch_format="pyarrow", concurrency=(1, 8))
+    out = ds.map_batches(drop_frequent, batch_format="pyarrow")
     return out.select_columns(keep_cols) if keep_cols else out
 
 
@@ -293,7 +292,8 @@ def paragraph_dedup(ds: "ray.data.Dataset", sep: str = "\n\n",
 
 
 class MinHasher:
-    """Actor-pool stage: text → MinHash signature → LSH band rows.
+    """Map stage (run via ``stages.stage_fn``): text → MinHash signature →
+    LSH band rows.
 
     Emits (doc_id, band, band_hash) rows; near-dup candidates are doc pairs
     sharing any (band, band_hash) bucket. num_perm=64, bands=16×4 targets
@@ -371,9 +371,8 @@ def minhash_duplicate_groups(
     vectorized fold per block (the exact_dedup pattern; measured ~4×
     faster than a sort groupby over the raw 16M-row band stream at 1M
     docs × 16 bands)."""
-    bands = ds.map_batches(MinHasher,
-                           fn_constructor_kwargs={"id_col": id_col, **kw},
-                           batch_format="pyarrow", concurrency=(1, 16))
+    bands = ds.map_batches(stage_fn(MinHasher, id_col=id_col, **kw),
+                           batch_format="pyarrow")
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -493,9 +492,8 @@ def neardup_pairs_ds(
         num_partitions = max(1, int(ray.cluster_resources().get("CPU", 8)) // 8)
 
     bands = ds.map_batches(
-        MinHasher, fn_constructor_kwargs={"id_col": id_col,
-                                          "text_col": text_col, **kw},
-        batch_format="pyarrow", concurrency=(1, 8))
+        stage_fn(MinHasher, id_col=id_col, text_col=text_col, **kw),
+        batch_format="pyarrow")
     pairs = candidate_pairs_from_bands(bands, id_col=id_col)
     hashes = ds.map_batches(
         shingle_hash_rows,

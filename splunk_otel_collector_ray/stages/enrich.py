@@ -16,10 +16,10 @@ Reference semantics (citations into /root/reference):
 
 Ray-Data-first mapping: the dimension state is a SMALL table → broadcast once
 with `ray.put` and look it up in a `map_batches` stage. The logs pipeline
-runs it as a fused function stage (`make_enrich_fn`: the ObjectRef is
-resolved once per worker process — the k8s watch cache analogue);
-`EnrichStage` also works as an actor pool. `__call__` is a vectorized take
-per batch. No shuffle join.
+runs it as a fused task-function stage (`make_enrich_fn` =
+`stages.stage_fn(EnrichStage, dims_ref)`: the ObjectRef is resolved and
+the lookup built once per task — the k8s watch cache analogue).
+`__call__` is a vectorized take per batch. No shuffle join.
 
 The fixture dimension table (FIXTURES.md §5) is keyed on a conv bucket. The
 bucket function must be computable by the DuckDB oracle too, so it is the
@@ -73,20 +73,16 @@ def conv_bucket(conv_id_col: pa.ChunkedArray | pa.Array) -> pa.Array:
 class EnrichStage:
     """`map_batches` stage: broadcast-dim lookup + resource stamp.
 
-    ``dims`` may be a pandas DataFrame or a ``ray.ObjectRef`` to one (use
-    ``ray.put(build_dim_table())`` on the driver — shipped once per worker
-    or actor, not per batch).
+    ``dims`` is a pandas DataFrame (default: ``build_dim_table()``); the
+    pipelines broadcast it with ``ray.put`` and run the stage through
+    ``make_enrich_fn``, which resolves the ref inside the task.
     """
 
     DIM_COLS = ["k8s.pod.name", "k8s.namespace.name", "cloud.provider", "host.name"]
 
-    def __init__(self, dims=None) -> None:
-        import ray
-
+    def __init__(self, dims: pd.DataFrame | None = None) -> None:
         if dims is None:
             dims = build_dim_table()
-        if isinstance(dims, ray.ObjectRef):
-            dims = ray.get(dims)
         dims = dims.sort_values("dim_key").reset_index(drop=True)
         # dense bucket index -> small Arrow value arrays; per batch the join
         # is one C-level take (no Python string objects)
@@ -146,14 +142,8 @@ def enrich_via_join(ds, dims: pd.DataFrame | None = None,
 
 
 def make_enrich_fn(dims_ref):
-    """Function-stage variant: per-process cached EnrichStage over a broadcast
-    dims ObjectRef — fuses with adjacent task stages (no actor-pool ramp-up).
-    Use the class form for heavyweight dimension state (real k8s caches)."""
-    cache: dict[str, EnrichStage] = {}
+    """Task-function EnrichStage over a broadcast dims ObjectRef, built once
+    per task (``stages.stage_fn``) — fuses with adjacent task stages."""
+    from . import stage_fn
 
-    def enrich_batch(batch: pa.Table) -> pa.Table:
-        if "e" not in cache:
-            cache["e"] = EnrichStage(dims_ref)
-        return cache["e"](batch)
-
-    return enrich_batch
+    return stage_fn(EnrichStage, dims_ref)

@@ -7,7 +7,7 @@ the deterministic stub reserved for formats that genuinely need an external
 codec (JPEG, MP3, MP4 containers).
 
 Decode is per-payload by nature (entropy coding is sequential); the
-vectorization boundary is the actor-pool batch, exactly where a PIL-based
+vectorization boundary is the map-stage batch, exactly where a PIL-based
 pipeline would sit. Unfiltering is numpy-vectorized per scanline lane
 (sub = per-lane cumsum mod 256; up = previous-row add), with a scalar
 fallback only for average/Paeth rows.

@@ -331,8 +331,11 @@ def parse_wavefront_text(batch: pa.Table, text_col: str = "text") -> pa.Table:
     epoch = pd.to_numeric(st.field("ts").to_pandas()[valid], errors="coerce")
     # convert only the present epochs: on a NaN-holding float Series,
     # pandas 2.2's unit conversion can raise FloatingPointError when the
-    # memory it reuses for the NaN slots holds huge doubles
-    ts = pd.to_datetime(epoch.dropna() * 1e6, unit="us",
+    # memory it reuses for the NaN slots holds huge doubles. An epoch whose
+    # microseconds pass int64 (≥ ~9.22e12 s) would raise OverflowError and
+    # fail the batch; like every other out-of-range epoch it reads as null
+    us = epoch.dropna() * 1e6
+    ts = pd.to_datetime(us[us < 2.0 ** 63], unit="us",
                         errors="coerce").reindex(epoch.index)
     source = st.field("source").to_pandas()[valid]
     tags = st.field("tags").to_pandas()[valid].fillna("")

@@ -9,12 +9,12 @@ PIL/libvips/soundfile/ffmpeg, so progressive JPEG/MP3 and non-MJPEG video
 remain honestly stubbed): stages attempt a real decode per payload and fall
 back to the deterministic byte-statistics stand-in for undecodable formats,
 keeping the Ray-side plumbing (schema, small batches for large payloads,
-actor-pool signature, output layout) identical on both paths.
+stage signature, output layout) identical on both paths.
 
 Scale notes: binary payloads dominate block size — use small `batch_size` and
 consider a larger `target_max_block_size` so blocks aren't split absurdly
-small (ray_guide pitfalls); decode stages are actor pools because real
-decoders amortize codec/model init per actor.
+small (ray_guide pitfalls); decode stages run as task functions
+(``stages.stage_fn``) that build their codec state once per task.
 """
 
 from __future__ import annotations
@@ -150,14 +150,14 @@ def _payload_parts(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FeatureExtractStage:
-    """Actor-pool decode/feature stage. __init__ = codec setup; __call__ =
+    """Decode/feature stage. __init__ = codec setup; __call__ =
     per-batch feature extraction: payloads that REALLY decode (PNG pixels,
     WAV samples — stdlib codecs) contribute 8 chunk means of their decoded
     sample stream; undecodable formats keep the deterministic byte-chunk
     stand-in (vectorized: one cumsum over the flat byte buffer, no
     per-payload Python loop). The per-payload decode loop is the honest
-    shape — entropy decoding cannot vectorize across images; batching is
-    the actor-pool boundary, as with a PIL-based extractor."""
+    shape — entropy decoding cannot vectorize across images; the batch is
+    the vectorization boundary, as with a PIL-based extractor."""
 
     FEAT_DIM = 8
 
@@ -213,7 +213,7 @@ class FeatureExtractStage:
 
 
 class ResizeStage:
-    """Actor-pool resize stage — the image-resize slot of the multimodal
+    """Resize stage — the image-resize slot of the multimodal
     pipeline. PNG and baseline-JPEG payloads get a REAL nearest-neighbor
     resample (decode → numpy index-gather → re-encode, same codec); other
     formats keep the deterministic stand-in (payload subsampled to

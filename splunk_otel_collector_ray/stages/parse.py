@@ -35,7 +35,6 @@ table, body), run by one generic loop; every timestamp goes through
 
 Deployment shape: the stage holds no state, so ``ParseStage.as_fn()`` is a
 plain function stage that fuses with the read and downstream task stages.
-The class can still be passed to ``map_batches`` as an actor pool.
 
 Output schema (FIXTURES.md §2):
   conv_id, turn_idx, role, tool            passthrough (+ any extra columns)

@@ -28,6 +28,7 @@ import ray
 import ray.data
 
 from ..partitioning import pd_table
+from . import stage_fn
 
 KNUTH = 2654435761
 
@@ -243,6 +244,19 @@ class AlwaysPolicy:
     """Unconditional sample (always_sample)."""
 
 
+def _key_filter(key: str, keys: set, drop: bool):
+    """Batch filter on ``key`` membership in a broadcast key set — kept
+    rows for the semi join, dropped rows (``drop``) for the anti join.
+    Built once per task by ``stage_fn``, so the set is unpickled once per
+    task, not per batch."""
+
+    def filter_keys(batch: pa.Table) -> pa.Table:
+        mask = batch[key].to_pandas().isin(keys).to_numpy()
+        return batch.filter(pa.array(mask != drop))
+
+    return filter_keys
+
+
 def semi_join_keys(
     ds: "ray.data.Dataset", kept_keys: "ray.data.Dataset", key: str,
     max_broadcast_keys: int = 1_000_000,
@@ -265,17 +279,8 @@ def semi_join_keys(
     kept_keys = kept_keys.materialize()  # object store, NOT the driver
     if kept_keys.count() <= max_broadcast_keys:
         kept_ref = ray.put(set(kept_keys.to_pandas()[key]))
-
-        class Filter:
-            def __init__(self) -> None:
-                self.kept = ray.get(kept_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                mask = batch[key].to_pandas().isin(self.kept).to_numpy()
-                return batch.filter(pa.array(mask))
-
-        return ds.map_batches(Filter, batch_format="pyarrow",
-                              concurrency=(1, 8))
+        return ds.map_batches(stage_fn(_key_filter, key, kept_ref, False),
+                              batch_format="pyarrow")
     if num_partitions is None:
         num_partitions = max(1, int(ray.cluster_resources().get("CPU", 8)) // 8)
     return ds.join(kept_keys, join_type="inner",
@@ -297,17 +302,8 @@ def anti_join_keys(
     drop_keys = drop_keys.materialize()
     if drop_keys.count() <= max_broadcast_keys:
         drop_ref = ray.put(set(drop_keys.to_pandas()[key]))
-
-        class Filter:
-            def __init__(self) -> None:
-                self.drop = ray.get(drop_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                mask = ~batch[key].to_pandas().isin(self.drop).to_numpy()
-                return batch.filter(pa.array(mask))
-
-        return ds.map_batches(Filter, batch_format="pyarrow",
-                              concurrency=(1, 8))
+        return ds.map_batches(stage_fn(_key_filter, key, drop_ref, True),
+                              batch_format="pyarrow")
     if num_partitions is None:
         num_partitions = max(1, int(ray.cluster_resources().get("CPU", 8)) // 8)
 

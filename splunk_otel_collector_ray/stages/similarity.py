@@ -9,8 +9,6 @@ matching buckets — same broadcast pattern, plus a bucket column to co-locate.
 
 from __future__ import annotations
 
-import gc
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -18,20 +16,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from . import stage_fn
+
 
 def _as_matrix(col: pd.Series) -> np.ndarray:
     return np.stack(col.to_numpy())
-
-
-def _drain(ds: "ray.data.Dataset") -> pd.DataFrame:
-    """``ds.to_pandas()`` for a pipeline with actor pools, giving the pools'
-    CPUs back before returning. A consumed Dataset's actors live until
-    cyclic GC frees their handles, and a following pipeline that needs more
-    CPUs than are left (``ivf_topk`` and ``lsh_topk`` need three) stalls
-    until Ray's resource-deadlock check happens to trigger that GC."""
-    out = ds.to_pandas()
-    gc.collect()
-    return out
 
 
 class BruteForceTopK:
@@ -42,16 +31,16 @@ class BruteForceTopK:
     broadcast in the same object-store ref), each query only scores batch rows
     whose bucket it probes — the shared scoring kernel for the LSH and IVF
     paths, so ANN candidate scoring runs distributed in map_batches instead of
-    a driver-side loop."""
+    a driver-side loop. ``queries`` is ``(query ids, query matrix[,
+    probe_matrix])``."""
 
-    def __init__(self, queries_ref, k: int = 5,
+    def __init__(self, queries: tuple, k: int = 5,
                  vec_col: str = "embedding", id_col: str = "vec_id",
                  bucket_col: str | None = None) -> None:
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
-        self.qids = q[0]
-        qm = q[1].astype(np.float64)
+        self.qids = queries[0]
+        qm = queries[1].astype(np.float64)
         self.qm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
-        self.probe_matrix = q[2] if len(q) > 2 else None
+        self.probe_matrix = queries[2] if len(queries) > 2 else None
         self.k, self.vec_col, self.id_col = k, vec_col, id_col
         self.bucket_col = bucket_col
 
@@ -112,11 +101,9 @@ def ann_topk(
     qids = qdf[id_col].to_numpy()
     qm = _as_matrix(qdf[vec_col])
     ref = ray.put((qids, qm))
-    local = _drain(ds.map_batches(
-        BruteForceTopK, fn_constructor_kwargs={"queries_ref": ref, "k": k,
-                                               "vec_col": vec_col, "id_col": id_col},
-        batch_format="pyarrow", concurrency=(1, 8),
-    ))
+    local = ds.map_batches(
+        stage_fn(BruteForceTopK, ref, k=k, vec_col=vec_col, id_col=id_col),
+        batch_format="pyarrow").to_pandas()
     return _final_topk(local, k)
 
 
@@ -296,9 +283,8 @@ class LSHBucketStage:
     """Scale path: random-hyperplane sign buckets as a column; co-locating on
     (bucket) turns ANN into per-bucket brute force. Hyperplanes broadcast."""
 
-    def __init__(self, planes_ref, vec_col: str = "embedding") -> None:
-        p = ray.get(planes_ref) if isinstance(planes_ref, ray.ObjectRef) else planes_ref
-        self.planes = p
+    def __init__(self, planes: np.ndarray, vec_col: str = "embedding") -> None:
+        self.planes = planes
         self.vec_col = vec_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -331,10 +317,9 @@ class IVFAssignStage:
     """Assign each vector to its nearest coarse centroid (broadcast) — the
     IVF inverted-list id as a column; partitioning on it co-locates lists."""
 
-    def __init__(self, centroids_ref, vec_col: str = "embedding") -> None:
-        c = ray.get(centroids_ref) if isinstance(centroids_ref, ray.ObjectRef) \
-            else centroids_ref
-        self.cent = c.astype(np.float64)
+    def __init__(self, centroids: np.ndarray, vec_col: str = "embedding"
+                 ) -> None:
+        self.cent = centroids.astype(np.float64)
         self.vec_col = vec_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -366,9 +351,8 @@ def ivf_topk(
     cent_ref = ray.put(cent)
 
     assigned = ds.map_batches(
-        IVFAssignStage, fn_constructor_kwargs={"centroids_ref": cent_ref,
-                                               "vec_col": vec_col},
-        batch_format="pyarrow", concurrency=(1, 8))
+        stage_fn(IVFAssignStage, cent_ref, vec_col=vec_col),
+        batch_format="pyarrow")
 
     wanted = pa.array(list(query_ids))
     qdf = ds.map_batches(
@@ -387,11 +371,10 @@ def ivf_topk(
         lambda t: t.filter(pc.is_in(t["ivf_list"], value_set=lists)),
         batch_format="pyarrow")
     ref = ray.put((qids, qm, probe_matrix))
-    local = _drain(cand.map_batches(
-        BruteForceTopK, fn_constructor_kwargs={
-            "queries_ref": ref, "k": k, "vec_col": vec_col,
-            "id_col": id_col, "bucket_col": "ivf_list"},
-        batch_format="pyarrow", concurrency=(1, 8)))
+    local = cand.map_batches(
+        stage_fn(BruteForceTopK, ref, k=k, vec_col=vec_col, id_col=id_col,
+                 bucket_col="ivf_list"),
+        batch_format="pyarrow").to_pandas()
     return _final_topk(local, k)
 
 
@@ -421,9 +404,8 @@ def lsh_topk(
     planes_ref = ray.put(planes)
 
     bucketed = ds.map_batches(
-        LSHBucketStage, fn_constructor_kwargs={"planes_ref": planes_ref,
-                                               "vec_col": vec_col},
-        batch_format="pyarrow", concurrency=(1, 8))
+        stage_fn(LSHBucketStage, planes_ref, vec_col=vec_col),
+        batch_format="pyarrow")
 
     qids = qdf[id_col].to_numpy()
     qm = _as_matrix(qdf[vec_col]).astype(np.float64)
@@ -445,11 +427,10 @@ def lsh_topk(
 
     cand = bucketed.map_batches(in_buckets, batch_format="pyarrow")
     ref = ray.put((qids, qm, probe_matrix))
-    local = _drain(cand.map_batches(
-        BruteForceTopK, fn_constructor_kwargs={
-            "queries_ref": ref, "k": k, "vec_col": vec_col,
-            "id_col": id_col, "bucket_col": "lsh_bucket"},
-        batch_format="pyarrow", concurrency=(1, 8)))
+    local = cand.map_batches(
+        stage_fn(BruteForceTopK, ref, k=k, vec_col=vec_col, id_col=id_col,
+                 bucket_col="lsh_bucket"),
+        batch_format="pyarrow").to_pandas()
     return _final_topk(local, k)
 
 

@@ -231,7 +231,8 @@ class CleanStage:
     and a language allowlist. Emits surviving docs with their signals so
     downstream stages (dedup, sampling) can reuse them without recompute.
 
-    Stateful setup (compiled language profiles) happens once per actor;
+    Stateful setup (compiled language profiles) happens once per task
+    (``stages.stage_fn``);
     each batch is vectorized end to end. Thresholds compare IEEE doubles
     computed identically on engine and oracle sides, so boundary docs
     cannot diverge."""
@@ -341,19 +342,16 @@ class DecontaminateStage:
     GPT-3/PaLM appendix methodology).
 
     The eval gram-hash set is built once (``build_eval_ngram_hashes``),
-    broadcast via ``ray.put``, and sorted once per actor in ``__init__``;
+    broadcast via ``ray.put``, and sorted once per task in ``__init__``
+    (run via ``stages.stage_fn``);
     each batch then computes its gram hashes vectorized and membership via
     one ``np.isin`` against the sorted set. Emits ``(doc_id,
     contaminated)`` for every TRAINING doc (eval docs are dropped).
     """
 
-    def __init__(self, eval_hashes, eval_mod: int = 25, n: int = 8,
-                 text_col: str = "text", id_col: str = "doc_id",
+    def __init__(self, eval_hashes: np.ndarray, eval_mod: int = 25,
+                 n: int = 8, text_col: str = "text", id_col: str = "doc_id",
                  fractions: bool = False) -> None:
-        if not isinstance(eval_hashes, np.ndarray):
-            import ray
-
-            eval_hashes = ray.get(eval_hashes)
         self.eval_h = np.sort(eval_hashes.astype(np.uint64))
         self.eval_mod, self.n = eval_mod, n
         self.text_col, self.id_col = text_col, id_col

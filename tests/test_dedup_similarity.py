@@ -305,17 +305,26 @@ def test_ivf_topk_recall_vs_bruteforce(ray_session, sf_dir):
 
 
 def test_topk_searches_return_with_actor_pools_released(ray_session, sf_dir):
-    """Each search scores in a BruteForceTopK actor pool. A consumed
-    Dataset's actor handles sit in a reference cycle, and their workers
-    hold CPUs until cyclic GC frees them; ivf_topk and lsh_topk need three
-    of the session's four CPUs, so a search run right after another one
-    waited on them. Every search must return with no map-worker handle
-    left in the heap."""
+    """No search or broadcast filter leaves a map-worker actor behind. A
+    consumed Dataset's actor handles sit in a reference cycle, and their
+    workers held CPUs until cyclic GC freed them; ivf_topk and lsh_topk
+    need three of the session's four CPUs, so a search run right after
+    another one waited on them. Every stage here is a task function, so
+    each consumed result leaves no map-worker handle in the heap, with no
+    ``gc.collect()`` in between."""
     import gc
 
     import ray.data
     from ray.actor import ActorHandle
 
+    from splunk_otel_collector_ray.stages.dedup import (
+        minhash_duplicate_groups,
+        remove_boilerplate,
+    )
+    from splunk_otel_collector_ray.stages.sample import (
+        anti_join_keys,
+        semi_join_keys,
+    )
     from splunk_otel_collector_ray.stages.similarity import (
         ann_topk,
         ivf_topk,
@@ -332,6 +341,21 @@ def test_topk_searches_return_with_actor_pools_released(ray_session, sf_dir):
     for search in (ann_topk, ivf_topk, lsh_topk):
         search(ds, [0, 1, 2], k=10)
         assert map_workers() == [], search.__name__
+
+    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
+    events = ray.data.read_parquet(f"{sf_dir}/events.parquet")
+    users = events.select_columns(["user_id"]).limit(50)
+    for name, stage in (
+            ("remove_boilerplate",
+             lambda: remove_boilerplate(docs, key_col="source", min_keys=2)),
+            ("minhash_duplicate_groups",
+             lambda: minhash_duplicate_groups(docs)),
+            ("semi_join_keys",
+             lambda: semi_join_keys(events, users, "user_id")),
+            ("anti_join_keys",
+             lambda: anti_join_keys(events, users, "user_id"))):
+        stage().to_pandas()
+        assert map_workers() == [], name
 
 
 def _exact_pairs_reference(ds, threshold):

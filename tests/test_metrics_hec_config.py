@@ -620,3 +620,17 @@ def test_wavefront_epochs_survive_reused_huge_doubles():
         ts = out["ts"].to_pylist()
         assert [t is None for t in ts] == [i % 2 == 1 for i in range(128)]
         assert out["ts"][0].value == 1767225600 * 1_000_000
+
+
+def test_wavefront_out_of_range_epochs_read_null():
+    """An epoch whose microseconds pass int64 (13 and 24 digits here)
+    raised OverflowError and failed the whole batch; it reads as a null
+    ts, and the valid line beside it keeps its timestamp."""
+    batch = pa.table({"text": pa.array([
+        "c 3 9999999999999 source=h",
+        "c 3 999999999999999999999999 source=h",
+        "c 4 1767225600 source=h"])})
+    out = parse_wavefront_text(batch)
+    assert out["value"].to_pylist() == [3.0, 3.0, 4.0]
+    assert out["ts"].to_pylist()[:2] == [None, None]
+    assert out["ts"][2].value == 1767225600 * 1_000_000

@@ -461,6 +461,9 @@ def test_remove_boilerplate(ray_session):
     assert "shared boilerplate header" not in set(out.text)
     assert (out.text == "solo repeat").sum() == 2
     assert len(out) == 7
+    # no text repeats across 6 keys: the frequent set is empty (the fold
+    # emits no rows) and every row survives
+    assert len(remove_boilerplate(ds, min_keys=6).to_pandas()) == len(rows)
 
 
 def test_asof_join(ray_session):

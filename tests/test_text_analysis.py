@@ -176,6 +176,7 @@ def test_langid_model_trains_and_beats_stopword_heuristic(ray_session):
 
     import ray.data
     from splunk_otel_collector_ray.partitioning import pd_table
+    from splunk_otel_collector_ray.stages import stage_fn
     from splunk_otel_collector_ray.stages.text_analysis import (
         LangIdStage,
         langid_model_predict,
@@ -207,8 +208,8 @@ def test_langid_model_trains_and_beats_stopword_heuristic(ray_session):
     assert set(model["lang"]) == set(pools) and (model["w"] > 0).all()
     pred = langid_model_predict(ds, model).to_pandas().set_index("doc_id")
     heur = ds.map_batches(
-        LangIdStage, batch_format="pyarrow",
-        concurrency=1).to_pandas().set_index("doc_id")
+        stage_fn(LangIdStage),
+        batch_format="pyarrow").to_pandas().set_index("doc_id")
 
     K, m = 2654435761, 10000
     held = df[(df["doc_id"].to_numpy() * K) % m >= 9000]
@@ -299,6 +300,7 @@ def test_contamination_fraction_semantics(ray_session):
     import ray
     import ray.data
 
+    from splunk_otel_collector_ray.stages import stage_fn
     from splunk_otel_collector_ray.stages import text_analysis as ta
 
     eval_text = "a b c d e f g h i"          # 9 tokens -> two 8-grams
@@ -310,9 +312,8 @@ def test_contamination_fraction_semantics(ray_session):
     })
     ds = ray.data.from_arrow(docs)
     ref = ray.put(ta.build_eval_ngram_hashes(ds))
-    out = (ds.map_batches(ta.DecontaminateStage, fn_constructor_args=(ref,),
-                          fn_constructor_kwargs={"fractions": True},
-                          batch_format="pyarrow", concurrency=1)
+    stage = stage_fn(ta.DecontaminateStage, ref, fractions=True)
+    out = (ds.map_batches(stage, batch_format="pyarrow")
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert out["doc_id"].tolist() == [1, 2]   # eval doc dropped
     assert out["n_grams"].tolist() == [2, 3]
