@@ -56,14 +56,35 @@ def build_dim_table() -> pd.DataFrame:
     )
 
 
+def conv_number(conv_id: pa.ChunkedArray | pa.Array
+                ) -> pa.ChunkedArray | pa.Array:
+    """conv-00000123 -> 123 as int64 (SQL: CAST(conv_id[6:] AS INT)); a
+    null conv_id stays null. A conv_id whose suffix is not an int64 (no
+    digits, a letter, a number past int64) raises a ValueError naming
+    ``conv_id`` and its first such value."""
+    import pyarrow.compute as pc
+
+    def number(ids):
+        return pc.cast(pc.utf8_slice_codeunits(ids, 5, 32), pa.int64())
+
+    try:
+        return number(conv_id)
+    except pa.ArrowInvalid:
+        for value in conv_id.to_pylist():  # error path: find the bad one
+            try:
+                number(pa.array([value], type=pa.string()))
+            except pa.ArrowInvalid:
+                raise ValueError(f"conv_id {value!r} is not 'conv-' and an "
+                                 "int64 number") from None
+        raise
+
+
 def conv_bucket(conv_id_col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """conv-00000123 -> 123 % 64 (SQL: CAST(conv_id[6:] AS INT) % 64).
 
     int64; a null conv_id has a null bucket, as in SQL. Arrow-native:
     slice+cast are C kernels; no per-row Python strings."""
-    import pyarrow.compute as pc
-
-    seq = pc.cast(pc.utf8_slice_codeunits(conv_id_col, 5, 32), pa.int64())
+    seq = conv_number(conv_id_col)
     if isinstance(seq, pa.ChunkedArray):
         seq = seq.combine_chunks()
     return pa.array(seq.fill_null(0).to_numpy() % N_BUCKETS,

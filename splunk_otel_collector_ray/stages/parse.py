@@ -23,11 +23,17 @@ is the router's first match over ``DETECT``, found by one RE2 gate (the
 alternation of every row; a line it rejects is plain) and a fixed
 bisection tree of alternations over ``DETECT`` slices, both derived from
 ``DETECT`` at import: at most six scans per matched line instead of up to
-one per family. Each family only records (row idx, Arrow values); body,
-severity (int8 level codes) and the attributes open-map (a real Arrow
-`map<string,string>` built by takes from flat offsets) are each assembled
-once per batch. Timestamps are sliced and parsed by Arrow kernels; only
-rows a fast path cannot prove equal go through pandas' strptime.
+one per family. Extraction runs each family's one-pass twin (``TWIN``:
+anchored pieces of at most 4 groups, explicit classes that stop at the
+next delimiter) and the shipped ``RX`` pattern only on the rows the twin's
+guard cannot prove equal. Each family only records (row idx, Arrow
+values); body, severity (int8 level codes) and the attributes open-map (a
+real Arrow `map<string,string>` built by takes from flat offsets) are each
+assembled once per batch. Timestamps are parsed once per layout per batch
+(the families of a layout concatenated) by Arrow kernels into
+timestamp[us] — slices, a month map, the strptime kernel, offsets and
+fractions as durations; only rows a slice cannot prove equal go through
+pandas' strptime.
 
 Each family's chain is one row of ``PLAN`` (timestamp layout, severity
 table, body), run by one generic loop; every timestamp goes through
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import binascii
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -66,6 +73,7 @@ from ..functions.severity import (
     REDIS_LEVELS,
     SEVERITY_NUMBER,
 )
+from .enrich import conv_number
 
 # family -> attribute keys kept after the chain's `retain` projection
 FAMILY_ATTR_KEYS: dict[str, list[str]] = {
@@ -175,23 +183,107 @@ RX = {
         r'(?P<code>\d+) (?P<size>\d+)$'),
 }
 
-# one-pass twins of the two NCSA patterns: each group is a class without
-# its closing delimiter, so RE2 never backtracks (the shipped `.+` groups
-# make it: ~15 µs/row against ~2.5 µs for the twin). A twin's groups are
-# used only where the line holds exactly one '[', one ']' and the pattern's
-# count of '"', and the twin matched. There, no shipped `.+` group can hold
-# one of those delimiters, so every group is bounded by a fixed delimiter,
-# and the twin's space-free classes are the only valid split. Every other
-# row runs the shipped pattern. '\n' is excluded from every class because
-# RE2's `.` never matches it.
-_NCSA_TWIN_HEAD = (
-    r'^(?P<host>[^ \n]+) (?P<remote_logname>[^ \n]+) (?P<user>[^ \n]+) '
-    r'\[(?P<time>[^\]\n]+)\] "(?P<method>[^ \n]+) (?P<path>[^ \n]+) '
-    r'(?P<protocol>[^ "\n]+)" (?P<code>\d+) (?P<size>\d+)')
-NCSA_TWIN: dict[str, tuple[str, int]] = {  # family -> (twin, '"' count)
-    "apache_access": (
-        _NCSA_TWIN_HEAD + r' "(?P<referer>[^"\n]+)" "(?P<agent>[^"\n]+)"$', 6),
-    "ncsa_common": (_NCSA_TWIN_HEAD + "$", 2),
+# one-pass extraction twins of the RX patterns. The shipped patterns open
+# with lazy `.+?` time groups, greedy `.+`/`.*` fields and up to 11
+# groups, so RE2 leaves its one-pass matcher (it runs that only on a
+# one-pass pattern with at most 4 capture groups): 0.4-12 µs/row. A twin
+# captures only the groups PLAN and FAMILY_ATTR_KEYS read, at most 4 per
+# piece; each piece is anchored, and each group is an explicit class that
+# stops at the delimiter after it, in the shape DETECT pins, so every
+# piece is one-pass (0.3-0.7 µs/row). A twin's groups are used on a row
+# only when every piece matched and every `counts` substring occurs
+# exactly that often; there the shipped pattern's lazy or greedy groups
+# can end only where the twin's do (the twin's time is the shortest time
+# RX could take, its fields stop at delimiters that occur once). Every
+# other row runs the shipped pattern. No class holds '\n', because RE2's
+# `.` never matches it, so a line with a '\n' never takes a twin. Where a
+# family reads more than 4 groups, its fixed-width time is the line's
+# first `time_width` characters, and the NCSA pair split their groups
+# over pieces that each repeat the same one-pass prefix.
+# `tests/test_parse_properties.py` pins twin == shipped pattern.
+class Twin(NamedTuple):
+    pieces: tuple[str, ...]                 # each anchored, ≤4 groups
+    counts: tuple[tuple[str, int], ...] = ()  # (substring, exact count)
+    time_width: int = 0                     # >0: time = the first N chars
+
+
+_YMD = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_HMS = r"[0-9]{2}:[0-9]{2}:[0-9]{2}"
+# NCSA: no field class holds '[', ']' or '"', so a line the twin matches
+# has exactly one '[' and one ']' and the pattern's '"' count; there no
+# shipped `.+` group can hold one of them, every group is bounded by a
+# fixed delimiter, and the twin's space-free classes are the only split
+_NCSA_HEAD = r'^[^ \[\]"\n]+ [^ \[\]"\n]+ [^ \[\]"\n]+ \[[^\[\]"\n]+\] "'
+_NCSA_PIECES = (
+    r'^(?P<host>[^ \[\]"\n]+) (?P<remote_logname>[^ \[\]"\n]+) '
+    r'(?P<user>[^ \[\]"\n]+) \[(?P<time>[^\[\]"\n]+)\] "',
+    _NCSA_HEAD + r'(?P<method>[^ \[\]"\n]+) (?P<path>[^ \[\]"\n]+) '
+    r'(?P<protocol>[^ \[\]"\n]+)" (?P<code>[0-9]+) ')
+_NCSA_SIZE = (_NCSA_HEAD + r'[^ \[\]"\n]+ [^ \[\]"\n]+ [^ \[\]"\n]+" '
+              r'[0-9]+ (?P<size>[0-9]+)')
+TWIN: dict[str, Twin] = {
+    "apache_access": Twin(_NCSA_PIECES + (
+        _NCSA_SIZE + r' "(?P<referer>[^\[\]"\n]+)" '
+        r'"(?P<agent>[^\[\]"\n]+)"$',)),
+    "apache_error": Twin((
+        r"^\[(?P<time>[^\]\n]+)\] \[(?P<module>\w+):(?P<level>\w+)\] "
+        r"\[pid [0-9]+:tid [0-9]+\] (?P<log>.*)$",)),
+    "syslog": Twin((
+        r"^(?P<time>[A-Z][a-z]{2} [ 0-9][0-9] " + _HMS + r") [^ :\t\n\f\r]+ "
+        r"(?P<program>[^ :\[\t\n\f\r]+)(?:\[[0-9]+\])?: (?P<log>.*)$",)),
+    "redis_server": Twin((
+        r"^[0-9]+:(?P<role>\S*) (?P<time>[0-9]{2} [A-Z][a-z]{2} [0-9]{4} "
+        + _HMS + r"\.[0-9]{3}) (?P<level>.) (?P<log>.*)$",)),
+    "redis_handler": Twin((
+        r"^[0-9]+:(?P<role>\S*) \((?P<time>[0-9]+)\) (?P<log>.*)$",)),
+    "docker": Twin((
+        r'^\{"log":"(?P<log>[^"\n]*)","stream":"(?P<stream>[a-z]+)",'
+        r'"time":"(?P<time>[^"\n]+)"\}$',)),
+    "json_level": Twin((
+        r'^\{"Level":"(?P<level>[A-Z]+)","message":"[^"\n]*",'
+        r'"time":"[^"\n]+"\}$',)),
+    "mongodb": Twin((
+        r'^\{"t":\{"\$date":"(?P<time>[^"\n]+)"\},"s":"(?P<level>[A-Z0-9]+)",'
+        r'"c":"[A-Z]+","ctx":"(?P<ctx>[^"\n]+)","msg":"(?P<log>[^"\n]*)"\}$',
+    )),
+    "etcd": Twin((
+        r"^(?P<time>" + _YMD + " " + _HMS + r") (?P<level>\w) \| (?P<log>.*)$",
+    )),
+    # the phone is the line's only digit run
+    "pii": Twin((
+        r"^(?P<before>[^0-9\n]*)[0-9]{4}-[0-9]{3}-[0-9]{4}"
+        r"(?P<after>[^0-9\n]*)$",)),
+    # RX's time is greedy: it ends at the last ' - ', so allow only one
+    "cassandra": Twin((
+        r"^(?P<level>\w+) +\[(?P<thread>[\w:]+)\] (?P<time>" + _YMD + " "
+        + _HMS + r") [^ :\t\n\f\r]+:[0-9]+ - (?P<log>.*)$",), ((" - ", 1),)),
+    "jetty9": Twin((
+        r"^(?P<time>[0-9-]{10} [0-9:.]{12}):(?P<level>\w+):[\w.]+:\w+: "
+        r"(?P<log>.*)$",)),
+    "mysql_error": Twin((
+        r"^(?P<time>" + _YMD + " " + _HMS + r") [0-9]+ \[(?P<level>\w+)\] "
+        r"(?P<log>.*)$",)),
+    "mysql_query": Twin((
+        r"^(?P<time>[0-9]{6} [0-9:.]+)[\t\f\r ]+"
+        r"(?P<log>(?:[^\t\n\f\r ].*)?)$",)),
+    "nginx_error": Twin((
+        r"^(?P<time>[0-9]{4}/[0-9]{2}/[0-9]{2} " + _HMS + r") "
+        r"\[(?P<level>\w+)\] [0-9]+#[0-9]+: (?P<log>.*)$",)),
+    "postgresql": Twin((
+        r"^(?P<time>" + _YMD + " " + _HMS + r"\.[0-9]{3} UTC) \[[0-9]+\] "
+        r"(?P<log>.*)$",)),
+    "rabbitmq": Twin((
+        r"^(?P<time>" + _YMD + " " + _HMS + r"\.[0-9]{3}) \[(?P<level>\w+)\] "
+        r"<[0-9.]+> (?P<log>.*)$",)),
+    "tomcat": Twin((
+        r"^[0-9]{2}-[A-Z][a-z]{2}-[0-9]{4} " + _HMS + r" (?P<level>\w+) "
+        r"\[(?P<thread>[\w:-]+)\] (?P<function>\S+) (?P<log>.*)$",),
+        time_width=20),
+    # a thread without ':' (RX's lazy thread ends at the last ':')
+    "zookeeper": Twin((
+        r"^" + _YMD + " " + _HMS + r" - (?P<level>\w+) +\[(?P<thread>\w+):"
+        r"(?P<class>\w+)@(?:[0-9]+|\?)\] - (?P<log>.*)$",), time_width=19),
+    "ncsa_common": Twin(_NCSA_PIECES + (_NCSA_SIZE + "$",)),
 }
 
 # one stanza chain per family: family -> (ts layout, severity table, lower
@@ -318,10 +410,10 @@ _MONTH_NUM = {m: f"{i:02d}" for i, m in enumerate(
     ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
      "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"], 1)}
 
-# layouts with %a/%b/%z, where pandas' strptime is ~30× slower than numeric
-# formats — parsed on a vectorized fast path (fixed-width slice + month map +
-# numeric strptime + numeric zone offset), with a per-row strptime fallback
-# for anything the slicing mis-reads (e.g. space-padded days)
+# layouts with %a/%b/%z, where strptime would need a locale or a zone:
+# parsed by fixed-width slices, a month map, the numeric strptime kernel
+# and a zone offset or fraction added as a duration; a row the slicing
+# cannot prove (e.g. a space-padded day) takes the per-row strptime
 _FAST_LAYOUTS = {
     "%d/%b/%Y:%H:%M:%S %z", "%a %b %d %H:%M:%S %Y",
     "%d %b %Y %H:%M:%S.%f", "%d-%b-%Y %H:%M:%S", "%Y %b %d %H:%M:%S",
@@ -342,8 +434,8 @@ _MONTH_NAMES_ARR = pa.array(list(_MONTH_NUM))
 _MONTH_NUMS_ARR = pa.array(list(_MONTH_NUM.values()))
 
 # the datetime64[ns] span less a day (room for zone offsets and fractions):
-# a kernel-parsed time outside it would overflow the ns cast, so it is
-# nulled and left to pandas' strptime, which coerces what ns cannot hold
+# a kernel-parsed time outside it is nulled and left to pandas' strptime,
+# which coerces what ns cannot hold — the values the stage always had
 _NS_SPAN = (pa.scalar(pd.Timestamp.min + pd.Timedelta(days=1),
                       type=pa.timestamp("us")),
             pa.scalar(pd.Timestamp.max - pd.Timedelta(days=1),
@@ -356,35 +448,52 @@ def _ns_safe(ts: pa.Array) -> pa.Array:
                               pc.less_equal(ts, _NS_SPAN[1])), ts, None)
 
 
-def _parse_time(t: pa.Array, layout: str) -> pd.Series:
-    """Time strings under a ``PLAN`` layout → naive-UTC datetime64[ns],
-    NaT where unparsed. ``"epoch"`` is seconds, a ``_FAST_LAYOUTS`` layout
-    is sliced and a fixed-width numeric one goes straight to the strptime
-    kernel; only rows those Arrow paths cannot prove equal reach pandas'
-    own strptime. When a slice is so mis-shaped that a numeric cast fails,
-    the whole batch takes the pandas construction instead."""
+def _digits(piece: pa.Array) -> pa.Array:
+    """A numeric slice as int64: "" reads 0, and a slice that is not all
+    ASCII digits is null (its row only), where a cast would raise."""
+    z = pc.if_else(pc.equal(piece, ""), "0", piece)
+    return pc.cast(pc.if_else(pc.ascii_is_decimal(z), z, None), pa.int64())
+
+
+def _plus_us(ts: pa.Array, us: pa.Array) -> pa.Array:
+    return pc.add(ts, pc.cast(us, pa.duration("us")))
+
+
+def _strptime_rows(s: pa.Array, layout: str) -> pa.Array:
+    """pandas' own strptime (``errors="coerce"``, a zone converted to naive
+    UTC) → timestamp[us], null where it fails: the per-row fallback for the
+    few rows an Arrow path cannot prove equal."""
+    out = pd.to_datetime(pd.Series(_np(s), dtype=object), format=layout,
+                         errors="coerce", utc="%z" in layout)
+    if getattr(out.dt, "tz", None) is not None:
+        out = out.dt.tz_convert("UTC").dt.tz_localize(None)
+    return pa.array(out.to_numpy().astype("datetime64[us]"),
+                    type=pa.timestamp("us"))
+
+
+def _parse_time(t: pa.Array, layout: str) -> pa.Array:
+    """Time strings under a ``PLAN`` layout → naive-UTC timestamp[us], null
+    where unparsed. ``"epoch"`` is seconds, a ``_FAST_LAYOUTS`` layout is
+    sliced and a fixed-width numeric one goes straight to the strptime
+    kernel. Only the rows those Arrow paths cannot prove equal reach
+    pandas' strptime (``_strptime_rows``); a well-formed line never does.
+    The loop calls it once per layout per batch."""
     if layout == "epoch":
         return _epoch_seconds(t)
-    fast = layout in _FAST_LAYOUTS
-    try:
-        if fast:
-            return _fast_strptime_arrow(t, layout)
-        return _numeric_strptime_arrow(t, layout)
-    except (pa.lib.ArrowInvalid, pa.lib.ArrowNotImplementedError):
-        s = pd.Series(_np(t), dtype=object)
-        if fast:
-            return _fast_strptime_pandas(s, layout)
-        return pd.to_datetime(s, format=layout, errors="coerce")
+    if layout in _FAST_LAYOUTS:
+        return _fast_strptime_arrow(t, layout)
+    return _numeric_strptime_arrow(t, layout)
 
 
-def _fast_strptime_arrow(arr: pa.Array, layout: str) -> pd.Series:
+def _fast_strptime_arrow(arr: pa.Array, layout: str) -> pa.Array:
     """A ``_FAST_LAYOUTS`` parse: utf8 slices + dictionary month map +
-    null-joining concat + ``pc.strptime(error_is_null=True)``; rows the
-    slicing mis-reads (non-padded days etc.) drop to real strptime."""
+    null-joining concat + ``pc.strptime(error_is_null=True)`` + a zone
+    offset or fraction as a duration; rows the slicing mis-reads
+    (non-padded days, a non-digit offset etc.) drop to real strptime."""
     s = pc.fill_null(arr, "")
 
-    def sl(a: int, b: int | None) -> pa.Array:
-        return pc.utf8_slice_codeunits(s, a, b if b is not None else 2**30)
+    def sl(a: int, b: int) -> pa.Array:
+        return pc.utf8_slice_codeunits(s, a, b)
 
     def mon(a: int, b: int) -> pa.Array:
         return pc.take(_MONTH_NUMS_ARR,
@@ -403,80 +512,61 @@ def _fast_strptime_arrow(arr: pa.Array, layout: str) -> pd.Series:
         return _ns_safe(pc.if_else(
             pc.equal(day, pc.utf8_slice_codeunits(iso, 8, 10)), ts, None))
 
-    def num(piece: pa.Array) -> np.ndarray:  # "" → 0; garbage raises →
-        z = pc.if_else(pc.equal(piece, ""), "0", piece)  # pandas fallback
-        return pc.cast(z, pa.int64()).to_numpy(zero_copy_only=False)
-
     if layout == "%d/%b/%Y:%H:%M:%S %z":
         ts = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
-        sign = np.where(_np(pc.equal(sl(21, 22), "-")), 1, -1)
-        delta = pd.to_timedelta(
-            sign * (num(sl(22, 24)) * 60 + num(sl(24, 26))), unit="m")
+        mins = pc.add(pc.multiply(_digits(sl(22, 24)), 60),
+                      _digits(sl(24, 26)))
+        ts = _plus_us(ts, pc.multiply(mins, pc.if_else(
+            pc.equal(sl(21, 22), "-"), 60_000_000, -60_000_000)))
     elif layout == "%a %b %d %H:%M:%S %Y":
         ts = parse(iso_of(sl(20, 24), mon(4, 7), sl(8, 10), sl(11, 19)))
-        delta = None
     elif layout == "%d %b %Y %H:%M:%S.%f":
         ts = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
-        frac = pc.utf8_rpad(sl(21, 27), 6, "0")  # ".%f" → exact µs
-        delta = pd.to_timedelta(num(frac), unit="us")
+        # ".%f" → exact µs
+        ts = _plus_us(ts, _digits(pc.utf8_rpad(sl(21, 27), 6, "0")))
     elif layout == "%d-%b-%Y %H:%M:%S":
         ts = parse(iso_of(sl(7, 11), mon(3, 6), sl(0, 2), sl(12, 20)))
-        delta = None
     elif layout == "%Y %b %d %H:%M:%S":
         iso = iso_of(sl(0, 4), mon(5, 8),
                      pc.replace_substring(sl(9, 11), " ", "0"), sl(12, 20))
         ts = parse(pc.if_else(pc.match_substring_regex(s, _SYSLOG_SHAPE),
                               iso, None))
-        delta = None
     elif layout == "%Y-%m-%dT%H:%M:%S.%f%z":
         shaped = pc.match_substring_regex(s, _MONGODB_SHAPE)
         ts = parse(pc.if_else(shaped, pc.binary_join_element_wise(
             sl(0, 10), sl(11, 19), " "), None))
-        z = pc.if_else(shaped, s, "0000-00-00T00:00:00.000+00:00")
-
-        def zn(a: int, b: int) -> np.ndarray:
-            return num(pc.utf8_slice_codeunits(z, a, b))
-
-        sign = np.where(_np(pc.equal(pc.utf8_slice_codeunits(z, 23, 24),
-                                     "-")), 1, -1)
-        delta = pd.to_timedelta(
-            zn(20, 23) * 1000
-            + sign * (zn(24, 26) * 60 + zn(27, 29)) * 60_000_000, unit="us")
+        # a null ts has no offset to add; the shape pins the digits
+        mins = pc.add(pc.multiply(_digits(sl(24, 26)), 60),
+                      _digits(sl(27, 29)))
+        ts = _plus_us(ts, pc.add(pc.multiply(_digits(sl(20, 23)), 1000),
+                                 pc.multiply(mins, pc.if_else(
+                                     pc.equal(sl(23, 24), "-"),
+                                     60_000_000, -60_000_000))))
     else:  # pragma: no cover - guarded by _FAST_LAYOUTS
         raise ValueError(layout)
 
-    out = ts.to_pandas().astype("datetime64[ns]")  # the historical dtype
-    if delta is not None:  # zone offset / fraction, exact integer µs
-        out = out + delta
     bad = pc.and_(pc.is_null(ts), pc.not_equal(s, ""))
     if pc.any(bad).as_py():  # slicing mis-read (non-padded day etc.)
-        slow = pd.to_datetime(pd.Series(_np(s.filter(bad)), dtype=object),
-                              format=layout, errors="coerce",
-                              utc="%z" in layout)
-        if getattr(slow.dt, "tz", None) is not None:
-            slow = slow.dt.tz_convert("UTC").dt.tz_localize(None)
-        out = out.copy()
-        out[_np(bad)] = slow.to_numpy()
-    return out
+        ts = pc.replace_with_mask(ts, bad,
+                                  _strptime_rows(s.filter(bad), layout))
+    return ts
 
 
-def _epoch_seconds(digits: pa.Array) -> pd.Series:
-    """Epoch-seconds digit strings → naive UTC, equal to
-    ``pd.to_datetime(pd.to_numeric(s, errors="coerce"), unit="s",
-    errors="coerce")``. Up to 10 digits are cast in Arrow (past
-    datetime64[ns]'s last second → NaT, as pandas coerces); longer strings
-    (leading zeros, overflow) keep that pandas path."""
-    short = pc.fill_null(pc.less_equal(pc.utf8_length(digits), 10), False)
-    secs = pc.cast(pc.if_else(short, digits, None), pa.int64())
+def _epoch_seconds(digits: pa.Array) -> pa.Array:
+    """Epoch-seconds digit strings (the layout's ``\\d+`` group) → naive
+    UTC timestamp[us] of their integer value, null past datetime64[ns]'s
+    last second, as ``pd.to_datetime(pd.to_numeric(s, errors="coerce"),
+    unit="s", errors="coerce")`` coerces it — whatever the count of digits
+    or leading zeros (pandas overflows from 2**64 on and misreads some
+    long zero-padded strings) — and null for an empty or non-digit
+    string."""
+    trimmed = pc.utf8_ltrim(digits, "0")
+    ok = pc.and_(pc.ascii_is_decimal(digits),
+                 pc.less_equal(pc.utf8_length(trimmed), 10))
+    secs = pc.cast(pc.if_else(ok, pc.binary_join_element_wise(
+        "0", trimmed, ""), None), pa.int64())
     secs = pc.if_else(pc.less_equal(secs, _NS_MAX_S), secs, None)
-    out = pd.Series(_np(pc.cast(pc.multiply(secs, 1_000_000),
-                                pa.timestamp("us"))).astype("datetime64[ns]"))
-    long = pc.and_(pc.is_valid(digits), pc.invert(short))
-    if pc.any(long).as_py():
-        out[_np(long)] = pd.to_datetime(pd.to_numeric(
-            pd.Series(_np(digits.filter(long)), dtype=object),
-            errors="coerce"), unit="s", errors="coerce").to_numpy()
-    return out
+    return pc.cast(pc.multiply(secs, 1_000_000), pa.timestamp("us"))
 
 
 def _rendered_len(fmt: str) -> int:
@@ -486,107 +576,37 @@ def _rendered_len(fmt: str) -> int:
                .replace("%M", "##").replace("%S", "##"))
 
 
-def _numeric_strptime_arrow(arr: pa.Array, fmt: str) -> pd.Series:
+def _numeric_strptime_arrow(arr: pa.Array, fmt: str) -> pa.Array:
     """A fixed-width NUMERIC layout straight to the strptime kernel, with
-    a trailing ``.%f`` fraction (and optional literal ``Z``) handled by a
-    prefix/fraction split — bit-equal to ``pd.to_datetime(format=fmt,
-    errors="coerce")`` including its reject-on-trailing-garbage rule
-    (pinned by test)."""
+    a trailing ``.%f`` fraction (and optional literal ``Z``) split off —
+    equal to ``pd.to_datetime(format=fmt, errors="coerce")`` in µs
+    (pinned by test), including its ISO rules for what may follow the
+    seconds: '.' and any number of digits (the first 9 count), or '.' and
+    1-9 digits before a literal ``Z``, then the end."""
     full = pc.fill_null(arr, "")
-    base, z_req = fmt, False
-    if base.endswith("Z"):
-        base, z_req = base[:-1], True
-    frac_sub = None
-    sub_unit = "us"
-    bad = None
-    s = full
-    if base.endswith(".%f"):
+    base, z = (fmt[:-1], "Z") if fmt.endswith("Z") else (fmt, "")
+    frac = base.endswith(".%f")
+    if frac:
         base = base[:-3]
-        ln = _rendered_len(base)
-        lens = _np(pc.utf8_length(full))
-        # pandas %f demands '.' then 1-6 digits then END (then the literal
-        # Z when the layout carries one) — replicate the reject rule
-        dot = _np(pc.equal(pc.utf8_slice_codeunits(full, ln, ln + 1), "."))
-        if z_req:
-            # pandas' ISO fast-path accepts 1-9 fraction digits (ns) when
-            # the layout ends in a literal — replicate, in nanoseconds
-            bad = ~(dot & _np(pc.ends_with(full, "Z"))
-                    & (lens >= ln + 3) & (lens <= ln + 11))
-            frac = pc.replace_substring(
-                pc.utf8_slice_codeunits(full, ln + 1, ln + 10), "Z", "")
-            width = 9
-        else:
-            bad = ~(dot & (lens >= ln + 2) & (lens <= ln + 7))
-            frac = pc.utf8_slice_codeunits(full, ln + 1, ln + 7)
-            width = 6
-        sub_unit = "ns" if width == 9 else "us"
-        frac_sub = pc.cast(pc.utf8_rpad(frac, width, "0"),
-                           pa.int64()).to_numpy(zero_copy_only=False)
+    ln = _rendered_len(base)
+    s, keep = full, None
+    if frac or z:
+        tail = (r"\.[0-9]{1,9}" if z else r"\.[0-9]*") if frac else ""
+        keep = pc.match_substring_regex(full, f"^.{{{ln}}}{tail}{z}$")
         s = pc.utf8_slice_codeunits(full, 0, ln)
-    elif z_req:
-        bad = ~_np(pc.ends_with(full, "Z"))
-        s = pc.utf8_slice_codeunits(full, 0, _rendered_len(base))
     ts = pc.strptime(s, format=base, unit="us", error_is_null=True)
-    safe = _ns_safe(ts)
-    out = safe.to_pandas().astype("datetime64[ns]")
-    if frac_sub is not None:
-        out = out + pd.to_timedelta(frac_sub, unit=sub_unit)
-    if bad is not None and bad.any():
-        out = out.copy()
-        out[bad] = pd.NaT
-    far = pc.and_(pc.is_valid(ts), pc.is_null(safe))
-    if pc.any(far).as_py():  # pandas' own parse, NaT where ns overflows
-        out = out.copy()
-        out[_np(far)] = pd.to_datetime(
-            pd.Series(_np(full.filter(far)), dtype=object), format=fmt,
-            errors="coerce").to_numpy()
-    return out
-
-
-def _fast_strptime_pandas(s: pd.Series, layout: str) -> pd.Series:
-    s = s.fillna("").astype(str)
-    s.index = pd.RangeIndex(len(s))
-
-    def mon(a: int, b: int) -> pd.Series:
-        return s.str.slice(a, b).map(_MONTH_NUM)
-
-    if layout == "%d/%b/%Y:%H:%M:%S %z":
-        iso = (s.str.slice(7, 11) + "-" + mon(3, 6) + "-" + s.str.slice(0, 2)
-               + " " + s.str.slice(12, 20))
-        out = pd.to_datetime(iso, format="%Y-%m-%d %H:%M:%S", errors="coerce")
-        sign = np.where(s.str.slice(21, 22) == "-", -1, 1)
-        mins = (pd.to_numeric(s.str.slice(22, 24), errors="coerce") * 60
-                + pd.to_numeric(s.str.slice(24, 26), errors="coerce"))
-        out = out - pd.to_timedelta(sign * mins, unit="m")
-    elif layout == "%a %b %d %H:%M:%S %Y":
-        iso = (s.str.slice(20, 24) + "-" + mon(4, 7) + "-"
-               + s.str.slice(8, 10) + " " + s.str.slice(11, 19))
-        out = pd.to_datetime(iso, format="%Y-%m-%d %H:%M:%S", errors="coerce")
-    elif layout == "%d %b %Y %H:%M:%S.%f":
-        iso = (s.str.slice(7, 11) + "-" + mon(3, 6) + "-" + s.str.slice(0, 2)
-               + " " + s.str.slice(12))
-        out = pd.to_datetime(iso, format="%Y-%m-%d %H:%M:%S.%f",
-                             errors="coerce")
-    elif layout == "%d-%b-%Y %H:%M:%S":
-        iso = (s.str.slice(7, 11) + "-" + mon(3, 6) + "-" + s.str.slice(0, 2)
-               + " " + s.str.slice(12, 20))
-        out = pd.to_datetime(iso, format="%Y-%m-%d %H:%M:%S", errors="coerce")
-    elif layout == "%Y %b %d %H:%M:%S":  # syslog: pandas' strptime itself
-        out = pd.to_datetime(s, format=layout, errors="coerce")
-    elif layout == "%Y-%m-%dT%H:%M:%S.%f%z":  # mongodb: likewise, to UTC
-        out = pd.to_datetime(s, format=layout, errors="coerce",
-                             utc=True).dt.tz_localize(None)
-    else:  # pragma: no cover - guarded by _FAST_LAYOUTS
-        raise ValueError(layout)
-
-    bad = out.isna() & (s != "")
-    if bad.any():
-        slow = pd.to_datetime(s[bad], format=layout, errors="coerce",
-                              utc="%z" in layout)
-        if getattr(slow.dt, "tz", None) is not None:
-            slow = slow.dt.tz_convert("UTC").dt.tz_localize(None)
-        out = out.copy()
-        out[bad] = slow
+    out = _ns_safe(ts)
+    far = pc.and_(pc.is_valid(ts), pc.is_null(out))
+    if frac:  # µs: the first 6 digits (whole seconds + a fraction ≥ 0)
+        digits = pc.utf8_slice_codeunits(full, ln + 1, ln + 7)
+        if z:  # fewer than 6 digits leave the Z in the slice
+            digits = pc.replace_substring(digits, z, "")
+        out = _plus_us(out, _digits(pc.utf8_rpad(digits, 6, "0")))
+    if keep is not None:
+        out = pc.if_else(keep, out, None)
+    if pc.any(far).as_py():  # pandas' own parse, null where ns overflows
+        out = pc.replace_with_mask(out, far,
+                                   _strptime_rows(full.filter(far), fmt))
     return out
 
 
@@ -638,8 +658,7 @@ def _span_ids(batch: pa.Table) -> pa.Array:
     hexes = b""
     if has_span.any():
         sidx = pa.array(np.flatnonzero(has_span))
-        conv = pc.cast(pc.utf8_slice_codeunits(
-            batch.column("conv_id").take(sidx), 5, 32), pa.int64())
+        conv = conv_number(batch.column("conv_id").take(sidx))
         turn = _np(batch.column("turn_idx").take(sidx)).astype(np.int64)
         raw = _np(conv) * 100_000 + turn
         hexes = binascii.hexlify(raw.astype(">u8").tobytes())
@@ -695,23 +714,23 @@ class ParseStage:
 
     @classmethod
     def extract(cls, family: str, sub: pa.Array) -> dict[str, pa.Array]:
-        """``_fields(extract_regex(sub, RX[family]))``. The NCSA families
-        take their one-pass twin's groups on guarded rows (see
-        ``NCSA_TWIN``) and run the shipped pattern only on the rest."""
-        if family not in NCSA_TWIN:
-            return cls._fields(pc.extract_regex(sub, RX[family]))
-        twin, quotes = NCSA_TWIN[family]
-        st = pc.extract_regex(sub, twin)
-        rest = ~(_np(pc.is_valid(st))
-                 & (_np(pc.count_substring(sub, "[")) == 1)
-                 & (_np(pc.count_substring(sub, "]")) == 1)
-                 & (_np(pc.count_substring(sub, '"')) == quotes))
-        out = {fld.name: st.field(fld.name) for fld in st.type}
+        """The groups the stage reads for ``family`` (its ``TWIN`` pieces'
+        groups, plus a sliced ``time``), each equal to that field of
+        ``_fields(extract_regex(sub, RX[family]))``: guarded rows (see
+        ``TWIN``) take the twin's values, and only the other rows run the
+        shipped pattern."""
+        twin = TWIN[family]
+        found = [pc.extract_regex(sub, piece) for piece in twin.pieces]
+        rest = ~np.logical_and.reduce(
+            [_np(pc.is_valid(st)) for st in found]
+            + [_np(pc.count_substring(sub, d)) == k for d, k in twin.counts])
+        out = {fld.name: st.field(fld.name) for st in found for fld in st.type}
+        if twin.time_width:
+            out["time"] = pc.utf8_slice_codeunits(sub, 0, twin.time_width)
         if not rest.any():
             return out
         mask = pa.array(rest)
-        shipped = cls._fields(
-            pc.extract_regex(sub.filter(mask), RX[family]))
+        shipped = cls._fields(pc.extract_regex(sub.filter(mask), RX[family]))
         return {k: pc.replace_with_mask(v, mask, shipped[k])
                 for k, v in out.items()}
 
@@ -724,8 +743,10 @@ class ParseStage:
         codes, names = self.classify(text)
 
         # each family only records (row idx, Arrow values); every output
-        # column is assembled once, after the loop
+        # column is assembled once, after the loop, and each ts layout is
+        # parsed once over its families' time strings
         ts_out = ts_in_np.copy()
+        times: dict[str, list[tuple[np.ndarray, pa.Array]]] = {}
         sev_code = np.zeros(n, dtype=np.int8)  # index into _LEVEL_TEXT
         bodies: list[tuple[np.ndarray, pa.Array]] = []
         attrs: list[tuple[np.ndarray, list[str], list[pa.Array]]] = []
@@ -748,9 +769,7 @@ class ParseStage:
                         years + 1970), pa.string()), pc.fill_null(t, ""), " ")
                 elif family == "postgresql":  # %Z zone name (PLAN)
                     t = pc.replace_substring(t, " UTC", "")
-                v = _parse_time(t, layout).to_numpy().astype("datetime64[us]")
-                ok = ~pd.isna(v)
-                ts_out[idx[ok]] = v[ok]  # failures keep the observed ts
+                times.setdefault(layout, []).append((idx, t))
             if levels is not None:
                 tok = pc.utf8_lower(f["level"]) if lower else f["level"]
                 sev_code[idx] = _level_codes(tok, levels)
@@ -763,6 +782,12 @@ class ParseStage:
                 attrs.append((idx, keys, [pc.fill_null(
                     f["role" if k == "redis_role" else k], "")
                     for k in keys]))
+        for layout, parts in times.items():
+            idx = np.concatenate([i for i, _ in parts])
+            v = _np(_parse_time(pa.concat_arrays([t for _, t in parts]),
+                                layout))
+            ok = ~np.isnat(v)
+            ts_out[idx[ok]] = v[ok]  # failures keep the observed ts
 
         # passthrough-preserving output: keep every input column except the
         # consumed `text` and the replaced `ts` (original ts → observed_ts),

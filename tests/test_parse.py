@@ -325,11 +325,18 @@ def test_json_array_parse_flat_subset():
     assert out["c"] == ["12", "0", "1", ""]
 
 
+def _us(ts: pd.Series) -> pa.Array:
+    """A pandas datetime Series as the stage keeps it: timestamp[us], NaT
+    as null."""
+    return pa.array(ts.to_numpy().astype("datetime64[us]"),
+                    type=pa.timestamp("us"))
+
+
 def test_numeric_strptime_matches_pandas_coerce():
-    """The Arrow numeric-layout strptime must be bit-equal to
-    pd.to_datetime(format=..., errors='coerce') — including the
-    reject-on-trailing-garbage rule, variable 1-6 digit fractions,
-    pandas' 1-9-digit ns fast-path for the trailing-Z layout,
+    """The Arrow numeric-layout strptime must equal (in µs, the stage's
+    unit) pd.to_datetime(format=..., errors='coerce') — including the
+    reject-on-trailing-garbage rule, pandas' ISO fractions (any number of
+    digits, even none, and 1-9 before the trailing-Z layout's Z),
     empty/null/garbage rows, and years at and past datetime64[ns]'s ends
     (NaT, not an overflow)."""
     import numpy as np
@@ -363,39 +370,88 @@ def test_numeric_strptime_matches_pandas_coerce():
     for fmt, vals in cases.items():
         raw = pd.Series(np.array(vals, dtype=object),
                         dtype=object).fillna("").astype(str)
-        new = _parse_time(
-            pa.array(raw, type=pa.string()), fmt).reset_index(drop=True)
-        old = pd.to_datetime(raw, format=fmt,
-                             errors="coerce").reset_index(drop=True)
-        assert new.equals(old), fmt
+        new = _parse_time(pa.array(raw, type=pa.string()), fmt)
+        old = _us(pd.to_datetime(raw, format=fmt, errors="coerce"))
+        assert new.equals(old), (fmt, new, old)
+
+
+def _pandas_construction(s: pd.Series, layout: str) -> pd.Series:
+    """The reference for ``_FAST_LAYOUTS``: the slice construction the
+    stage ran in pandas before its Arrow path, then pandas' own strptime
+    on every row it left NaT."""
+    s = s.fillna("").astype(str)
+    s.index = pd.RangeIndex(len(s))
+    months = {m: f"{i:02d}" for i, m in enumerate(
+        ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
+         "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"], 1)}
+
+    def mon(a: int, b: int) -> pd.Series:
+        return s.str.slice(a, b).map(months)
+
+    def iso(y, m, d, hms) -> pd.Series:
+        return (s.str.slice(*y) + "-" + mon(*m) + "-" + s.str.slice(*d)
+                + " " + s.str.slice(*hms))
+
+    def num(a: int, b: int) -> pd.Series:
+        return pd.to_numeric(s.str.slice(a, b), errors="coerce")
+
+    sec = "%Y-%m-%d %H:%M:%S"
+    if layout == "%d/%b/%Y:%H:%M:%S %z":
+        out = pd.to_datetime(iso((7, 11), (3, 6), (0, 2), (12, 20)),
+                             format=sec, errors="coerce")
+        sign = np.where(s.str.slice(21, 22) == "-", -1, 1)
+        out = out - pd.to_timedelta(
+            sign * (num(22, 24) * 60 + num(24, 26)), unit="m")
+    elif layout == "%a %b %d %H:%M:%S %Y":
+        out = pd.to_datetime(iso((20, 24), (4, 7), (8, 10), (11, 19)),
+                             format=sec, errors="coerce")
+    elif layout == "%d %b %Y %H:%M:%S.%f":
+        out = pd.to_datetime(iso((7, 11), (3, 6), (0, 2), (12, None)),
+                             format=sec + ".%f", errors="coerce")
+    elif layout == "%d-%b-%Y %H:%M:%S":
+        out = pd.to_datetime(iso((7, 11), (3, 6), (0, 2), (12, 20)),
+                             format=sec, errors="coerce")
+    elif layout == "%Y %b %d %H:%M:%S":  # syslog: pandas' strptime itself
+        out = pd.to_datetime(s, format=layout, errors="coerce")
+    else:  # mongodb's ISO layout: likewise, to UTC
+        out = pd.to_datetime(s, format=layout, errors="coerce",
+                             utc=True).dt.tz_localize(None)
+    bad = out.isna() & (s != "")
+    if bad.any():
+        slow = pd.to_datetime(s[bad], format=layout, errors="coerce",
+                              utc="%z" in layout)
+        if getattr(slow.dt, "tz", None) is not None:
+            slow = slow.dt.tz_convert("UTC").dt.tz_localize(None)
+        out = out.copy()
+        out[bad] = slow
+    return out
 
 
 def test_fast_strptime_matches_pandas_construction():
     """The Arrow %b-month fast path must equal the historical pandas
-    slice construction on padded, non-padded, empty, null and garbage,
-    on days the month lacks (which the kernel would roll over), on years
-    past datetime64[ns], and — for syslog's year-pinned layout — on
-    everything pandas' own strptime accepts beyond the sliced shape."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from splunk_otel_collector_ray.stages.parse import (
-        _fast_strptime_pandas, _parse_time)
+    slice construction (``_pandas_construction``) on padded, non-padded,
+    empty, null and garbage, on days the month lacks (which the kernel
+    would roll over), on years past datetime64[ns], on a non-digit zone
+    offset (a mis-shaped slice nulls only its own row) and — for syslog's
+    year-pinned layout — on everything pandas' own strptime accepts
+    beyond the sliced shape."""
+    from splunk_otel_collector_ray.stages.parse import _parse_time
 
     cases = {
         "%d/%b/%Y:%H:%M:%S %z": [
             "01/Jan/2026:00:00:01 +0000", "15/Mar/2026:23:59:59 -0530",
             "1/Jan/2026:00:00:01 +0000", "", "garbage", None,
             "31/Dec/2025:12:00:00 +1400", "30/Feb/2026:00:00:00 +0000",
-            "29/Feb/2024:00:00:00 +0000", "01/Jan/9999:00:00:00 +0000"],
+            "29/Feb/2024:00:00:00 +0000", "01/Jan/9999:00:00:00 +0000",
+            "01/Jan/2026:00:00:01 +00x0"],
         "%a %b %d %H:%M:%S %Y": [
             "Mon Jan 05 13:04:05 2026", "Tue Feb 17 00:00:00 2026",
             "Mon Jan  5 13:04:05 2026", "", None, "xx",
             "Mon Apr 31 13:04:05 2026"],
         "%d %b %Y %H:%M:%S.%f": [
             "05 Jan 2026 13:04:05.123", "17 Feb 2026 00:00:00.1",
-            "05 Jan 2026 13:04:05.123456", "", None, "junk"],
+            "05 Jan 2026 13:04:05.123456", "", None, "junk",
+            "05 Jan 2026 13:04:05.12x"],
         "%d-%b-%Y %H:%M:%S": [
             "05-Jan-2026 13:04:05", "17-Feb-2026 00:00:00", "", None, "no"],
         "%Y %b %d %H:%M:%S": [
@@ -415,12 +471,10 @@ def test_fast_strptime_matches_pandas_construction():
             "9999-01-01T00:00:00.000+00:00", "", None, "junk"],
     }
     for layout, vals in cases.items():
-        raw = np.array(vals, dtype=object)
-        new = _parse_time(pa.array(vals, type=pa.string()),
-                          layout).reset_index(drop=True)
-        old = _fast_strptime_pandas(
-            pd.Series(raw, dtype=object), layout).reset_index(drop=True)
-        assert new.equals(old), layout
+        new = _parse_time(pa.array(vals, type=pa.string()), layout)
+        old = _us(_pandas_construction(
+            pd.Series(np.array(vals, dtype=object), dtype=object), layout))
+        assert new.equals(old), (layout, new, old)
 
 
 def test_assembly_edge_cases_interleaved():
@@ -516,7 +570,47 @@ def test_epoch_seconds_matches_pandas_coerce():
     old = pd.to_datetime(pd.to_numeric(pd.Series(np.array(vals, dtype=object)),
                                        errors="coerce"),
                          unit="s", errors="coerce")
-    assert new.equals(old)
+    assert new.equals(_us(old))
+
+
+def test_redis_handler_epoch_past_int64_keeps_observed_ts():
+    """An epoch of 2**64 and more (pandas overflows converting it) is a
+    failed ts: the row keeps its observed ts, and the batch its other
+    rows; a zero-padded epoch still parses, to its exact value (pandas'
+    to_numeric reads "0" * 14 + "1767225870" as 1760000000)."""
+    df = _parse_lines([
+        "1:signal-handler (18446744073709551616) x",
+        "1:signal-handler (" + "9" * 40 + ") y",
+        "1:signal-handler (" + "0" * 14 + "1767225870) z",
+        "1:signal-handler (1767225870) w"])
+    assert df.log_format.tolist() == ["redis_handler"] * 4
+    assert df.body.tolist() == ["x", "y", "z", "w"]
+    assert df.ts.tolist() == [pd.Timestamp("2026-03-01T12:00:00")] * 2 + [
+        pd.Timestamp("2026-01-01 00:04:30")] * 2
+
+
+def _groups_read(family: str) -> set[str]:
+    """The RX groups the stage reads for a family: ``time`` with a layout,
+    ``level`` with a severity table, the body group — or the groups a body
+    function looks up — and the FAMILY_ATTR_KEYS groups."""
+    from splunk_otel_collector_ray.stages.parse import PLAN
+
+    layout, levels, _, body = PLAN[family]
+    read = {"role" if k == "redis_role" else k
+            for k in FAMILY_ATTR_KEYS[family]}
+    read |= {"time"} if layout is not None else set()
+    read |= {"level"} if levels is not None else set()
+
+    class Probe(dict):  # records the fields a body function looks up
+        def __getitem__(self, name: str) -> pa.Array:
+            read.add(name)
+            return pa.array([""], type=pa.string())
+
+    if isinstance(body, str):
+        read.add(body)
+    elif body is not None:
+        body(Probe())
+    return read
 
 
 def test_plan_tables_agree():
@@ -524,14 +618,18 @@ def test_plan_tables_agree():
     pattern has (`time` with a layout, `level` with a severity table, the
     body group when the body is a group name); each layout is "epoch", a
     fast layout or fixed-width numeric; each FAMILY_ATTR_KEYS key is an
-    RX group (redis_role reads `role`); the router names every family."""
+    RX group (redis_role reads `role`); the router names every family.
+    Every RX family has a TWIN whose pieces are anchored, hold at most 4
+    capture groups (RE2's one-pass limit), name only RX groups, and
+    together capture exactly the groups the stage reads, but for a time
+    the twin slices."""
     import re
 
     from splunk_otel_collector_ray.stages.parse import (
-        _FAST_LAYOUTS, DETECT, PLAN, RX)
+        _FAST_LAYOUTS, DETECT, PLAN, RX, TWIN)
 
     numeric = re.compile(r"(%[YymdHMS]|[-/: T])+(\.%f)?Z?")
-    assert set(PLAN) == set(RX)
+    assert set(PLAN) == set(RX) == set(TWIN)
     for family, (layout, levels, _, body) in PLAN.items():
         groups = re.compile(RX[family]).groupindex
         if layout is not None:
@@ -542,9 +640,154 @@ def test_plan_tables_agree():
             assert "level" in groups, family
         if isinstance(body, str):
             assert body in groups, family
+        twin = TWIN[family]
+        covered = {"time"} if twin.time_width else set()
+        for piece in twin.pieces:
+            names = re.compile(piece).groupindex
+            assert piece.startswith("^") and piece.endswith(("$", " ", '"'))
+            assert re.compile(piece).groups == len(names) <= 4, (family,
+                                                                  piece)
+            assert set(names) <= set(groups), (family, piece)
+            assert not covered & set(names), (family, piece)
+            covered |= set(names)
+        assert covered == _groups_read(family), family
     for family, keys in FAMILY_ATTR_KEYS.items():
         for k in keys:
             assert ("role" if k == "redis_role" else k) in re.compile(
                 RX[family]).groupindex, (family, k)
     assert set(FAMILY_ATTR_KEYS) == {name for name, _, _ in DETECT} | {
         "plain"}
+
+
+def test_conv_number_names_a_bad_conv_id_in_parse_and_enrich():
+    """parse's span ids and enrich's dim bucket read the conv number
+    through one helper: a conv_id without an int64 suffix raises a
+    ValueError naming conv_id and the first bad value (not a bare Arrow
+    cast error); a null conv_id keeps its "" span and null dims."""
+    import re
+
+    import pytest
+
+    from splunk_otel_collector_ray.stages.enrich import EnrichStage
+
+    def batch(conv_ids: list) -> pa.Table:
+        n = len(conv_ids)
+        return pa.table({
+            "conv_id": pa.array(conv_ids, type=pa.string()),
+            "turn_idx": pa.array(np.arange(n, dtype=np.int32)),
+            "role": ["tool"] * n, "tool": ["bash"] * n, "text": ["ls"] * n,
+            "ts": pa.array([pd.Timestamp("2026-03-01")] * n,
+                           type=pa.timestamp("us")),
+        })
+
+    for bad in ["abc", "conv-", "conv-" + "1" * 24, "conv-12x"]:
+        t = batch(["conv-00000001", None, bad, "conv-"])
+        want = re.escape(f"conv_id {bad!r}")
+        with pytest.raises(ValueError, match=want):
+            ParseStage()(t)
+        with pytest.raises(ValueError, match=want):
+            EnrichStage()(t.append_column(
+                "log_format", pa.array(["plain"] * t.num_rows)))
+
+    out = ParseStage()(batch(["conv-00000065", None]))
+    assert out["span_id"].to_pylist() == [f"{65 * 100_000:016x}", ""]
+    enriched = EnrichStage()(out)
+    assert enriched["host.name"].to_pylist() == ["host-1", None]
+
+
+def _family_lines() -> dict[str, str]:
+    """One real line of every family the router names (plain included)."""
+    text = corpus.build_transcripts("sf0.001")["text"]
+    codes, names = ParseStage.classify(text)
+    return {name: text[int(np.flatnonzero(codes == code)[0])].as_py()
+            for code, name in enumerate(names)}
+
+
+def test_hostile_rows_equal_the_shipped_patterns():
+    """Per family, a 1 MB line, a '\\n' inside the line and a syslog row
+    with a null ts: nothing raises, and the stage's output equals a
+    reference whose extraction runs only the shipped RX patterns."""
+    import pyarrow.compute as pc
+
+    from splunk_otel_collector_ray.stages.parse import RX
+
+    lines = []
+    for line in _family_lines().values():
+        mid = len(line) // 2
+        lines += [line + " " + "y" * 2**20, line[:mid] + "y" * 2**20
+                  + line[mid:], line[:mid] + "\n" + line[mid:],
+                  line + "\nnext", "\n" + line]
+    n = len(lines)
+    syslog = _family_lines()["syslog"]
+    lines.append(syslog)
+    ts = [pd.Timestamp("2026-03-01")] * n + [None]
+    t = pa.table({
+        "conv_id": pa.array([f"conv-{i:08d}" for i in range(n + 1)]),
+        "turn_idx": pa.array(np.arange(n + 1, dtype=np.int32)),
+        "role": ["tool", "user"] * (n // 2) + ["tool"] * (n % 2 + 1),
+        "tool": ["bash"] * (n + 1),
+        "text": pa.array(lines),
+        "ts": pa.array(ts, type=pa.timestamp("us")),
+    })
+    out = ParseStage()(t)
+
+    class Shipped(ParseStage):
+        @classmethod
+        def extract(cls, family, sub):
+            return cls._fields(pc.extract_regex(sub, RX[family]))
+
+    assert out.equals(Shipped()(t))
+    assert out["log_format"][n].as_py() == "syslog"
+    assert out["ts"][n].as_py() is None
+    assert out["body"][n].as_py() == syslog.split(": ", 1)[1]
+
+
+def test_well_formed_lines_never_reach_pandas(monkeypatch):
+    """Timestamps are Arrow-only: with pd.to_datetime raising, and every
+    pandas call in the parse module, generator lines of every family
+    parse. Rows the slicing cannot prove — a
+    space-padded day, a day the month lacks — still reach pandas'
+    strptime, with the values the stage always gave them."""
+    from splunk_otel_collector_ray.stages import parse
+
+    t = corpus.build_transcripts("sf0.001")
+    families = set(_family_lines())
+    to_datetime = pd.to_datetime
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a well-formed time reached pandas")
+
+    class NoPandas:  # the parse module's `pd`, for this first pass
+        def __getattr__(self, name):
+            boom()
+
+    monkeypatch.setattr(pd, "to_datetime", boom)
+    monkeypatch.setattr(parse, "pd", NoPandas())
+    out = ParseStage()(t)
+    assert set(out["log_format"].to_pylist()) == families
+    assert out["ts"].null_count == 0
+    monkeypatch.undo()
+
+    seen: list = []
+
+    def spy(arg, *args, **kwargs):
+        seen.extend(arg.tolist())
+        return to_datetime(arg, *args, **kwargs)
+
+    monkeypatch.setattr(pd, "to_datetime", spy)
+    obs = pd.Timestamp("2026-03-01T12:00:00")
+    df = _parse_lines([
+        "[Thu Jan  1 00:02:43 2026] [core:alert] [pid 1:tid 1] x",
+        '10.0.0.1 - u [30/Feb/2026:00:00:01 +0000] "GET / HTTP/1.1" 200 5',
+        "30-Feb-2026 00:04:01 WARNING [main] org.Foo.start x",
+        "Feb 30 06:15:30 host-0 sshd[1]: x",
+        "Mar  1 06:15:30 host-0 sshd[1]: x",
+        "1:M 30 Feb 2026 00:10:12.040 # x"])
+    assert df.log_format.tolist() == [
+        "apache_error", "ncsa_common", "tomcat", "syslog", "syslog",
+        "redis_server"]
+    assert df.ts.tolist() == [pd.Timestamp("2026-01-01 00:02:43"), obs, obs,
+                              obs, pd.Timestamp("2026-03-01 06:15:30"), obs]
+    assert {"Thu Jan  1 00:02:43 2026", "30/Feb/2026:00:00:01 +0000",
+            "30-Feb-2026 00:04:01", "2026 Feb 30 06:15:30",
+            "30 Feb 2026 00:10:12.040"} <= set(seen)
