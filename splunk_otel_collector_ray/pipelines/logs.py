@@ -31,7 +31,7 @@ from typing import Any, Iterator
 
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -94,16 +94,17 @@ def flagship_num_blocks(sf_dir: str, rows_per_task: int = 1 << 16) -> int:
     cluster idle), and naive per-block tasks at large scale → thousands of
     tiny tasks each paying scheduler + per-sink-file overhead. Row counts
     come from parquet FOOTERS (no data read)."""
-    n_rows = corpus_row_count(sf_dir)
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    return max(2 * ncpu, n_rows // rows_per_task)
+    return max(min_tasks(), corpus_row_count(sf_dir) // rows_per_task)
+
+
+def min_tasks() -> int:
+    """The task-count floor of both runners: 2 tasks per cluster CPU."""
+    return 2 * int(ray.cluster_resources().get("CPU", 8))
 
 
 def corpus_row_count(sf_dir: str) -> int:
     """Total transcript rows for a scale dir, from parquet FOOTERS only."""
     import glob as _glob
-
-    import pyarrow.parquet as pq
 
     path = ensure_transcripts(sf_dir)
     return sum(pq.read_metadata(f).num_rows
@@ -170,9 +171,9 @@ def _export_counts(ds: "ray.data.Dataset", out_dir: str,
     (aggregate._sum_combine) folds them so the driver-side final sum sees
     O(#groups) rows. Its num_cpus=0 keeps the combine a SEPARATE zero-cost
     operator: fused, its 65k batch_size would re-bundle the read blocks
-    and re-batch SinkWriter's input across file boundaries, breaking the
-    batch-per-partition invariant asserted in export.py. ``stats_path``
-    archives the executed chain's ``ds.stats()``."""
+    and cut SinkWriter's batches inside input parts, so a file's name and
+    bytes would follow the batch size instead of its part (export.py).
+    ``stats_path`` archives the executed chain's ``ds.stats()``."""
     from ..stages.export import SinkWriter
     from .aggregate import _sum_combine
 
@@ -221,8 +222,6 @@ def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
 
     agg_dir = os.path.join(out_dir, "aggregates")
     os.makedirs(agg_dir, exist_ok=True)
-    import pyarrow.parquet as pq
-
     from ..partitioning import pd_table
 
     pq.write_table(pd_table(agg_pdf),
@@ -238,15 +237,26 @@ def run_flagship(sf_dir: str, out_dir: str) -> dict[str, Any]:
     }
 
 
-def tag_part(t: pa.Table) -> pa.Table:
-    """``run_resumable``'s part tag: the ``path`` column ``include_paths``
-    adds becomes ``part``, the file's base name without ``.parquet``. The
-    regex runs once per distinct path (a block reads one file) and is taken
-    back onto the rows."""
-    paths = pc.unique(t["path"])
-    base = pc.replace_substring_regex(paths, r"^.*/|\.parquet$", "")
-    part = pc.take(base, pc.index_in(t["path"], paths))
-    return t.drop_columns(["path"]).append_column("part", part)
+def part_bundles(parts: list, n: int) -> list[list]:
+    """``parts`` cut into ``min(len(parts), n)`` contiguous bundles, in
+    order, whose sizes differ by at most one (earlier bundles take the
+    remainder)."""
+    n = min(len(parts), n)
+    q, r = divmod(len(parts), n)
+    cuts = [i * q + min(i, r) for i in range(n + 1)]
+    return [parts[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def read_parts(bundles: pa.Table) -> Iterator[pa.Table]:
+    """``run_resumable``'s read stage: every part file of every bundle row
+    (``part`` / ``path`` lists), read WHOLE as one table, with a constant
+    ``part`` column holding its id."""
+    for ids, paths in zip(bundles["part"].to_pylist(),
+                          bundles["path"].to_pylist()):
+        for part_id, path in zip(ids, paths):
+            t = pq.read_table(path, columns=INPUT_COLUMNS)
+            yield t.append_column(
+                "part", pa.repeat(pa.scalar(part_id), t.num_rows))
 
 
 def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
@@ -266,7 +276,6 @@ def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
     def _is_corpus_dir(d: str) -> bool:
         if not os.path.isdir(d):
             return False
-        import pyarrow.parquet as pq
         return any(
             set(INPUT_COLUMNS) <=
             set(pq.read_schema(os.path.join(d, f)).names)
@@ -290,15 +299,19 @@ def run_resumable(sf_dir: str, out_dir: str) -> dict[str, Any]:
 
     processed: dict[str, dict] = {}
     if todo:
-        # ONE read task per part file: Ray's automatic block count packs
-        # several small files into one block, and SinkWriter's
-        # batch-per-partition guard (stages/export.py) rejects a batch
-        # that spans input partitions
-        ds = ray.data.read_parquet(
-            [p for _, p, _ in todo], columns=INPUT_COLUMNS,
-            include_paths=True, override_num_blocks=len(todo))
+        # tasks by CPUs, not by part files: each task reads one contiguous
+        # bundle of parts (one from_items block per bundle, so no Parquet
+        # sampling on the driver), every part WHOLE into its batch, and
+        # SinkWriter files each run of one part under that part's dir. A
+        # file's name and bytes depend on its part alone, not on the
+        # bundling (up to the block-size limit in stages/export.py).
+        bundles = part_bundles([(part_id, p) for part_id, p, _ in todo],
+                               min_tasks())
+        ds = ray.data.from_items(
+            [{"part": [i for i, _ in b], "path": [p for _, p in b]}
+             for b in bundles], override_num_blocks=len(bundles))
         ds = build_logs_dataset(
-            ds.map_batches(tag_part, batch_format="pyarrow"))
+            ds.map_batches(read_parts, batch_format="pyarrow"))
         # single pass: per-partition per-sink export + lineage partials
         # (manifest counts come from the SAME pass, no output re-read)
         cpdf = _export_counts(ds, out_dir, partition_col="part")

@@ -6,13 +6,27 @@ obsreport counts accepted records (SURVEY.md §2.7;
 /root/reference/pkg/receiver/smartagentreceiver/output.go:219,243-245). The
 Ray-Data expression: a `map_batches` stage that
 
-  1. splits its batch by the routing `sink` column,
-  2. writes each split to ``out_dir/sink=<sink>/part-<fp>.parquet``, where
-     ``<fp>`` is a DETERMINISTIC fingerprint of the batch content (first
-     conv_id/turn_idx + row count) — a retried task overwrites the same file,
-     so task retries stay exactly-once,
+  1. cuts its batch into runs of one input partition (with a
+     ``partition_col``) and each run by the routing `sink` column,
+  2. writes each split to ``out_dir/[<partition_col>=<v>/]sink=<sink>/
+     part-<fp>.parquet``, where ``<fp>`` is a DETERMINISTIC fingerprint of
+     the run's content (first and last conv_id/turn_idx + row count) — a
+     retried task overwrites the same file, so task retries stay
+     exactly-once,
   3. emits only the tiny per-(sink, severity, tool) partial counts as its
      output batch — the downstream groupby aggregates partials, not rows.
+
+``run_resumable`` reads each input part WHOLE into its task's batch, so a
+run is a whole part and its files' names and bytes depend on the part
+alone, whatever the other parts of its bundle. The limit is Ray's block
+size: inside a fused task, Ray's output buffer cuts a block that reaches
+1.5 × ``DataContext.target_max_block_size`` (128 MiB by default) at the
+target, counted from the first row the buffer holds. So a part over half
+the target (at any stage of the chain, and the enriched rows are the
+largest) may be split at a row that depends on its neighbours in the
+bundle. Its rows stay exactly-once — each piece is a run with its own
+fingerprint, and a rerun resets the part's dir first — but its file names
+and bytes can differ between runs that bundle it differently.
 
 Compared with write_parquet + re-read, this halves the passes over the full
 stream: the export IS the aggregate's input. At 100 TB the re-read pass is a
@@ -43,7 +57,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+from typing import Iterator
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -86,10 +102,12 @@ class SinkWriter:
     """map_batches stage: side-effect parquet export, partial-count output.
 
     With ``partition_col`` set (e.g. a lineage ``part`` id tagged from the
-    input file), each batch's rows land under
-    ``out_dir/<partition_col>=<v>/sink=<s>/`` and the partial counts carry the
+    input file), the batch is cut into runs of equal ``partition_col``; each
+    run's rows land under ``out_dir/<partition_col>=<v>/sink=<s>/`` in files
+    named by that run's fingerprint, and the partial counts carry the
     partition id — one streaming pass yields resumable per-partition output
-    AND its lineage metrics (see pipelines/logs.run_resumable)."""
+    AND its lineage metrics (see pipelines/logs.run_resumable). A batch of
+    one run writes what a batch of that run alone writes."""
 
     def __init__(self, out_dir: str, partition_col: str | None = None
                  ) -> None:
@@ -125,24 +143,32 @@ class SinkWriter:
                 f"{batch['sink'].null_count} rows with a null 'sink' "
                 "reached SinkWriter — the routing stage must assign every "
                 "row a sink (use an explicit default route)")
-        fp = self._fingerprint(batch)
-        subdirs = [""]
-        if self.partition_col is not None:
-            parts = pc.unique(batch[self.partition_col])
-            if len(parts) != 1:  # not assert: must hold under python -O —
-                # a silent miss would file rows under the wrong partition
-                # while the counts stay keyed correctly, breaking resume
-                raise RuntimeError(
-                    "a batch must not span input partitions (blocks never "
-                    f"span files): saw {parts}")
-            subdirs = [f"{self.partition_col}={parts[0]}"]
         plan = write_plan(batch.schema)
-        for sink in pc.unique(batch["sink"]):
-            part = batch.filter(pc.equal(batch["sink"], sink))
-            d = os.path.join(self.out_dir, subdirs[0], f"sink={sink}")
-            os.makedirs(d, exist_ok=True)
-            # deterministic name → idempotent under Ray task retries
-            pq.write_table(part, os.path.join(d, f"part-{fp}.parquet"),
-                           **plan)
+        for subdir, run in self._runs(batch):
+            fp = self._fingerprint(run)
+            for sink in pc.unique(run["sink"]):
+                part = run.filter(pc.equal(run["sink"], sink))
+                d = os.path.join(self.out_dir, subdir, f"sink={sink}")
+                os.makedirs(d, exist_ok=True)
+                # deterministic name → idempotent under Ray task retries
+                pq.write_table(part, os.path.join(d, f"part-{fp}.parquet"),
+                               **plan)
         counts = batch.group_by(group_keys).aggregate([("sink", "count")])
         return counts.rename_columns([*group_keys, "n"])
+
+    def _runs(self, batch: pa.Table) -> Iterator[tuple[str, pa.Table]]:
+        """``(subdir, rows)`` for each run of equal ``partition_col`` in
+        batch order, as zero-copy slices; without a partition column the
+        whole batch is one run under ``out_dir``."""
+        if self.partition_col is None:
+            yield "", batch
+            return
+        col = batch[self.partition_col]
+        if col.null_count:  # would be filed under a phantom `part=None`
+            raise ValueError(f"{col.null_count} rows with a null "
+                             f"{self.partition_col!r} reached SinkWriter")
+        change = pc.not_equal(col[1:], col[:-1])
+        cuts = [0, *(np.flatnonzero(change.to_numpy()) + 1), len(col)]
+        for a, b in zip(cuts, cuts[1:]):
+            run = batch.slice(a, b - a)
+            yield f"{self.partition_col}={run[self.partition_col][0]}", run

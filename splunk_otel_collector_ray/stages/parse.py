@@ -669,10 +669,13 @@ def _span_ids(batch: pa.Table) -> pa.Array:
 
 
 def _text(text: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """A ``text`` column as one Array; a null line reads as "" (it
-    classifies as plain and its body is "")."""
+    """A ``text`` column as one ``string`` Array (a ``large_string`` file
+    column is cast: the element-wise joins take one string type); a null
+    line reads as "" (it classifies as plain and its body is "")."""
     if isinstance(text, pa.ChunkedArray):
         text = text.combine_chunks()
+    if pa.types.is_large_string(text.type):
+        text = text.cast(pa.string())
     return pc.fill_null(text, "") if text.null_count else text
 
 

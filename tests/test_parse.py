@@ -703,6 +703,18 @@ def _family_lines() -> dict[str, str]:
             for code, name in enumerate(names)}
 
 
+def test_large_string_text_parses_as_string():
+    """A ``large_string`` text column (a part file's own string type)
+    parses to the table the ``string`` column gives, for every family;
+    syslog's year pin used to raise on it."""
+    t = corpus.build_transcripts("sf0.001")
+    big = t.set_column(t.column_names.index("text"), "text",
+                       t["text"].cast(pa.large_string()))
+    out = ParseStage()(t)
+    assert set(out["log_format"].to_pylist()) == set(_family_lines())
+    assert ParseStage()(big).equals(out)
+
+
 def test_hostile_rows_equal_the_shipped_patterns():
     """Per family, a 1 MB line, a '\\n' inside the line and a syslog row
     with a null ts: nothing raises, and the stage's output equals a

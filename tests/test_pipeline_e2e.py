@@ -85,6 +85,74 @@ def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
         con.unregister("want")
 
 
+def _snapshot(d: str) -> dict[str, bytes]:
+    return {os.path.relpath(os.path.join(a, f), d):
+            open(os.path.join(a, f), "rb").read()
+            for a, _, fs in os.walk(d) for f in fs}
+
+
+def _runs_batch() -> pa.Table:
+    return pa.table({
+        "conv_id": ["c1", "c1", "c2", "c3", "c4"],
+        "turn_idx": pa.array([0, 1, 0, 0, 0], type=pa.int32()),
+        "part": ["p0", "p0", "p1", "p1", "p0"],
+        "sink": ["sink_a", "sink_b", "sink_a", "sink_a", "sink_b"],
+        "severity_text": ["", "ERROR", "", "", "ERROR"],
+        "tool": ["", "", "bash", "bash", ""],
+    })
+
+
+def test_sinkwriter_splits_batch_into_partition_runs(tmp_path):
+    """A batch with two partitions, p0 in two runs: each run is written
+    under its own ``part=`` dir exactly as a batch of that run alone, and
+    the partial counts are keyed by partition."""
+    from splunk_otel_collector_ray.stages.export import SinkWriter
+
+    batch = _runs_batch()
+    counts = SinkWriter(str(tmp_path / "all"), partition_col="part")(batch)
+    alone = SinkWriter(str(tmp_path / "alone"), partition_col="part")
+    for a, b in ((0, 2), (2, 4), (4, 5)):
+        alone(batch.slice(a, b - a))
+    files = _snapshot(str(tmp_path / "all"))
+    assert files == _snapshot(str(tmp_path / "alone"))
+    dirs = sorted(os.path.dirname(f) for f in files)
+    assert dirs == ["part=p0/sink=sink_a", "part=p0/sink=sink_b",
+                    "part=p0/sink=sink_b", "part=p1/sink=sink_a"]
+    got = {tuple(r[k] for k in ("part", "sink", "severity_text", "tool")):
+           r["n"] for r in counts.to_pylist()}
+    assert got == {("p0", "sink_a", "", ""): 1,
+                   ("p0", "sink_b", "ERROR", ""): 2,
+                   ("p1", "sink_a", "", "bash"): 2}
+    with pytest.raises(ValueError, match="null 'part'"):
+        SinkWriter(str(tmp_path / "null"), partition_col="part")(
+            batch.set_column(2, "part", pa.array(["p0", None] * 2 + ["p0"])))
+
+
+def test_sinkwriter_one_run_batch_names_and_bytes(tmp_path):
+    """A one-partition batch is one run: one file per sink, named by the
+    batch's fingerprint (first/last conv_id and turn_idx, row count), whose
+    bytes are ``pq.write_table`` of that sink's rows under ``write_plan``."""
+    import hashlib
+    import io
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray.stages.export import SinkWriter, write_plan
+
+    batch = _runs_batch().slice(0, 4)
+    batch = batch.set_column(2, "part", pa.array(["p0"] * 4))
+    SinkWriter(str(tmp_path), partition_col="part")(batch)
+    fp = hashlib.md5(b"c1|0|c3|0|4").hexdigest()[:16]
+    want = {}
+    for sink in ("sink_a", "sink_b"):
+        buf = io.BytesIO()
+        pq.write_table(batch.filter(pc.equal(batch["sink"], sink)), buf,
+                       **write_plan(batch.schema))
+        want[f"part=p0/sink={sink}/part-{fp}.parquet"] = buf.getvalue()
+    assert _snapshot(str(tmp_path)) == want
+
+
 def test_write_plan_names_nested_leaf_paths(tmp_path):
     """``use_dictionary`` lists the Parquet leaf paths pyarrow writes for
     list, map and struct columns, and a table lacking the planned columns
@@ -267,37 +335,154 @@ def test_resumable_multi_partition_matrix(ray_session, tmp_path):
             == r1["processed"]["part-001"]["sink_counts"])
 
 
-def test_resumable_many_tiny_parts(ray_session, tmp_path):
-    """~40 tiny conv-aligned part files: the read gives each file its own
-    task. Ray's automatic block count packs several small files into one
-    block, which SinkWriter's batch-per-partition guard rejects."""
+def _write_conv_parts(t: pa.Table, k: int, src) -> list[int]:
+    """Cut ``t`` into about ``k`` conv-aligned part files under ``src``
+    (a conversation never spans two); returns each part's row count."""
     import pyarrow.parquet as pq
 
-    from splunk_otel_collector_ray import corpus
-    from splunk_otel_collector_ray.pipelines.logs import run_resumable
-
-    t = corpus.build_transcripts("sf0.001")
-    src = tmp_path / "src"
-    src.mkdir()
     conv = t.column("conv_id").to_pandas().to_numpy()
     cuts = [0]
-    for k in range(1, 40):
-        i = k * t.num_rows // 40
+    for j in range(1, k):
+        i = j * t.num_rows // k
         while i < t.num_rows and conv[i] == conv[i - 1]:
             i += 1
         if cuts[-1] < i < t.num_rows:
             cuts.append(i)
     cuts.append(t.num_rows)
-    assert len(cuts) > 30
-    for k in range(len(cuts) - 1):
-        pq.write_table(t.slice(cuts[k], cuts[k + 1] - cuts[k]),
-                       str(src / f"part-{k:03d}.parquet"))
+    src.mkdir()
+    for j in range(len(cuts) - 1):
+        pq.write_table(t.slice(cuts[j], cuts[j + 1] - cuts[j]),
+                       str(src / f"part-{j:03d}.parquet"))
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
-    r = run_resumable(str(src), str(tmp_path / "out"))
-    assert sorted(r["processed"]) == [
-        f"part-{k:03d}" for k in range(len(cuts) - 1)]
-    for k in range(len(cuts) - 1):
-        assert r["processed"][f"part-{k:03d}"]["rows"] == cuts[k + 1] - cuts[k]
+
+def test_resumable_many_tiny_parts(ray_session, tmp_path):
+    """~40 tiny conv-aligned part files: the read bundles them into 2 tasks
+    per CPU, each task's batch spans many parts, and SinkWriter files each
+    part's run under its own partition with its own manifest counts."""
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+
+    rows = _write_conv_parts(corpus.build_transcripts("sf0.001"), 40,
+                             tmp_path / "src")
+    assert len(rows) > 30
+    r = run_resumable(str(tmp_path / "src"), str(tmp_path / "out"))
+    assert sorted(r["processed"]) == [f"part-{k:03d}" for k in range(len(rows))]
+    for k, n in enumerate(rows):
+        assert r["processed"][f"part-{k:03d}"]["rows"] == n
+
+
+def test_resumable_exactly_once_across_bundlings(ray_session, tmp_path):
+    """12 parts run in 8 bundles (2 per CPU); with every other manifest
+    deleted, the rerun reads its 6 parts in 6 other bundles. The kept half
+    is skipped, and every file name, file's bytes and manifest equals the
+    first run's: a part's output does not depend on its bundle."""
+    import glob as _glob
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import (
+        min_tasks, part_bundles, run_resumable)
+
+    rows = _write_conv_parts(corpus.build_transcripts("sf0.001"), 12,
+                             tmp_path / "src")
+    assert len(rows) >= 10
+    src, out = str(tmp_path / "src"), str(tmp_path / "out")
+    ids = list(range(len(rows)))
+    assert ([len(b) for b in part_bundles(ids, min_tasks())]
+            != [len(b) for b in part_bundles(ids[::2], min_tasks())])
+    run_resumable(src, out)
+    before = _snapshot(out)
+    mans = sorted(_glob.glob(os.path.join(out, "part=*", "_MANIFEST.json")))
+    assert len(mans) == len(rows)
+    for m in mans[::2]:
+        os.remove(m)
+    kept = sorted(os.path.basename(os.path.dirname(m))[len("part="):]
+                  for m in mans[1::2])
+    r = run_resumable(src, out)
+    assert sorted(r["skipped"]) == kept
+    assert len(r["processed"]) == len(rows) - len(kept)
+    assert _snapshot(out) == before
+
+
+def test_resumable_forced_block_splits_stay_exactly_once(ray_session,
+                                                         tmp_path):
+    """With a tiny ``target_max_block_size`` Ray cuts the bundles' blocks
+    inside parts, so SinkWriter sees batches that start and end mid-part
+    and span parts. Per partition, footer rows = manifest rows = input
+    rows, and no (conv_id, turn_idx) is written twice."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+    from splunk_otel_collector_ray.state import manifest as mf
+
+    t = corpus.build_transcripts("sf0.001")
+    rows = _write_conv_parts(t, 12, tmp_path / "src")
+    out = str(tmp_path / "out")
+    ctx = DataContext.get_current()
+    prev = ctx.target_max_block_size
+    ctx.target_max_block_size = 64 << 10
+    try:
+        run_resumable(str(tmp_path / "src"), out)
+    finally:
+        ctx.target_max_block_size = prev
+    keys = []
+    for k, n in enumerate(rows):
+        pdir = os.path.join(out, f"part=part-{k:03d}")
+        files = glob.glob(os.path.join(pdir, "sink=*", "*.parquet"))
+        assert len(files) > len(glob.glob(os.path.join(pdir, "sink=*")))
+        tables = [pq.read_table(f, columns=["conv_id", "turn_idx"])
+                  for f in files]
+        assert sum(x.num_rows for x in tables) == n
+        assert mf.read_manifest(pdir)["rows"] == n
+        keys += [key for x in tables for key in zip(
+            x["conv_id"].to_pylist(), x["turn_idx"].to_pylist())]
+    assert len(keys) == len(set(keys)) == t.num_rows
+
+
+def test_run_resumable_builds_no_parquet_read(ray_session, tmp_path,
+                                              monkeypatch):
+    """``run_resumable`` never calls ``ray.data.read_parquet`` (whose
+    driver-side sampling tasks cost more than the read) and hands
+    ``from_items`` one block per bundle: min(#parts, 2 × CPUs)."""
+    import ray.data
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import (
+        min_tasks, run_resumable)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("run_resumable called ray.data.read_parquet")
+
+    blocks = []
+    from_items = ray.data.from_items
+
+    def spy(items, **kwargs):
+        blocks.append(kwargs.get("override_num_blocks"))
+        return from_items(items, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", boom)
+    monkeypatch.setattr(ray.data, "from_items", spy)
+    t = corpus.build_transcripts("sf0.001")
+    for k, src in ((3, "few"), (20, "many")):
+        rows = _write_conv_parts(t, k, tmp_path / src)
+        r = run_resumable(str(tmp_path / src), str(tmp_path / f"out_{src}"))
+        assert sum(m["rows"] for m in r["processed"].values()) == sum(rows)
+    assert blocks == [3, min(20, min_tasks())] and min_tasks() < 20
+
+
+def test_part_bundles_contiguous_in_order():
+    from splunk_otel_collector_ray.pipelines.logs import part_bundles
+
+    for n_parts in range(1, 30):
+        parts = [f"part-{i:03d}" for i in range(n_parts)]
+        for n in (1, 2, 8, 64):
+            bundles = part_bundles(parts, n)
+            assert len(bundles) == min(n_parts, n)
+            assert [p for b in bundles for p in b] == parts
+            sizes = [len(b) for b in bundles]
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
 
 
 def test_two_tier_matches_single_tier(ray_session, sf_dir, tmp_path):
