@@ -250,11 +250,21 @@ def part_bundles(parts: list, n: int) -> list[list]:
 def read_parts(bundles: pa.Table) -> Iterator[pa.Table]:
     """``run_resumable``'s read stage: every part file of every bundle row
     (``part`` / ``path`` lists), read WHOLE as one table, with a constant
-    ``part`` column holding its id."""
+    ``part`` column holding its id. Extra columns are not read; a part
+    that lacks an input column raises ``ValueError`` naming the part and
+    every column it lacks."""
     for ids, paths in zip(bundles["part"].to_pylist(),
                           bundles["path"].to_pylist()):
         for part_id, path in zip(ids, paths):
-            t = pq.read_table(path, columns=INPUT_COLUMNS)
+            try:
+                t = pq.read_table(path, columns=INPUT_COLUMNS)
+            except pa.ArrowInvalid:
+                have = set(pq.read_schema(path).names)
+                missing = [c for c in INPUT_COLUMNS if c not in have]
+                if not missing:
+                    raise
+                raise ValueError(f"part file {path} lacks input column(s) "
+                                 f"{', '.join(missing)}") from None
             yield t.append_column(
                 "part", pa.repeat(pa.scalar(part_id), t.num_rows))
 

@@ -28,6 +28,7 @@ from ray.data.aggregate import Count, Min
 
 from ..partitioning import (
     bucket_fold,
+    bucket_join,
     join_segments,
     pd_table,
     segment_fold,
@@ -457,9 +458,9 @@ def candidate_pairs_from_bands(
         return g.drop_duplicates(["doc_a", "doc_b"])
 
     def local_dedup_arrow(g: pd.DataFrame) -> pa.Table:
-        # this fold's blocks feed Dataset.join hash shuffles downstream —
-        # emit metadata-free Arrow (pd_table) or every aggregator pays the
-        # unhashable-schema slow path ("Failed to hash the schemas")
+        # this fold's blocks feed bucket_join's keyed exchange downstream —
+        # emit metadata-free Arrow (pd_table) or every exchange task pays
+        # the unhashable-schema slow path ("Failed to hash the schemas")
         return pd_table(local_dedup(g))
 
     return bucket_fold(
@@ -469,8 +470,7 @@ def candidate_pairs_from_bands(
 
 def neardup_pairs_ds(
     ds: "ray.data.Dataset", jaccard_threshold: float = 0.5,
-    id_col: str = "doc_id", text_col: str = "text",
-    num_partitions: int | None = None, **kw
+    id_col: str = "doc_id", text_col: str = "text", **kw
 ) -> "ray.data.Dataset":
     """End-to-end near-dup detection: MinHash → LSH buckets → candidate
     pairs → exact n-gram-Jaccard verification. Yields (doc_a, doc_b) with
@@ -480,17 +480,10 @@ def neardup_pairs_ds(
     Scale shape (fully distributed — no doc text ever reaches the driver):
     candidate pairs come only from same-bucket LSH groups (bounded by band
     width) and stay a Dataset; per-doc shingle-hash sets are computed once in
-    map_batches and hash-JOINED back onto the pairs by doc id (two keyed
-    joins, no broadcast); the Jaccard verify runs per joined batch.
+    map_batches and joined back onto the pairs by doc id (two keyed
+    ``bucket_join`` calls, no broadcast); the Jaccard verify runs per
+    joined batch.
     """
-    import ray
-
-    if num_partitions is None:
-        # Dataset.join spawns one aggregator actor per partition and BOTH
-        # joins of this DAG run concurrently — keep 2·partitions well under
-        # the CPU count or the aggregators starve the map tasks (deadlock)
-        num_partitions = max(1, int(ray.cluster_resources().get("CPU", 8)) // 8)
-
     bands = ds.map_batches(
         stage_fn(MinHasher, id_col=id_col, text_col=text_col, **kw),
         batch_format="pyarrow")
@@ -501,21 +494,10 @@ def neardup_pairs_ds(
                    "shingle": kw.get("shingle", 5)},
         batch_format="pyarrow")
 
-    # aggregator actors get num_cpus=0: they mostly buffer + finalize, and
-    # reserving whole CPUs can starve/deadlock the concurrently running map
-    # tasks on small clusters (observed as a flaky hang at 4-8 CPUs)
-    agg_args = {"num_cpus": 0}
-    joined = pairs.join(hashes, join_type="inner",
-                        num_partitions=num_partitions,
-                        on=("doc_a",), right_on=(id_col,),
-                        right_suffix="_a",
-                        aggregator_ray_remote_args=agg_args)
-    joined = (  # the join folds the right key column into the left key
-        joined.rename_columns({"hashes": "hashes_a"})
-        .join(hashes, join_type="inner", num_partitions=num_partitions,
-              on=("doc_b",), right_on=(id_col,), right_suffix="_b",
-              aggregator_ray_remote_args=agg_args)
-    )
+    # the join folds the right key column into the left key
+    joined = bucket_join(pairs, hashes, "doc_a", id_col).rename_columns(
+        {"hashes": "hashes_a"})
+    joined = bucket_join(joined, hashes, "doc_b", id_col)
 
     def verify(batch: pa.Table) -> pa.Table:
         # ONE vectorized pass for the whole batch of candidate pairs:
@@ -547,14 +529,13 @@ def neardup_pairs_ds(
 
 def neardup_pairs(
     ds: "ray.data.Dataset", jaccard_threshold: float = 0.5,
-    id_col: str = "doc_id", text_col: str = "text",
-    num_partitions: int | None = None, **kw
+    id_col: str = "doc_id", text_col: str = "text", **kw
 ) -> pd.DataFrame:
     """Driver-side collect of :func:`neardup_pairs_ds` — valid when the
     verified pair set is known-small (the cheap common case; the
     distributed consumers take the Dataset form directly)."""
     out = neardup_pairs_ds(ds, jaccard_threshold, id_col, text_col,
-                           num_partitions, **kw).to_pandas()
+                           **kw).to_pandas()
     if out.empty:  # an empty Dataset collects with no columns at all
         return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                              "doc_b": pd.Series([], dtype="int64")})
@@ -576,7 +557,7 @@ def duplicate_clusters(
     path-compressed union-find on the pairs alone; the resulting map —
     only docs that HAVE a duplicate — is broadcast via ray.put once and
     applied to the doc stream per batch. No doc text moves, and the wide
-    work (LSH bucketing, hash joins, verify) stays in the pair DAG.
+    work (LSH bucketing, keyed joins, verify) stays in the pair DAG.
     ``distributed=True`` swaps the labeling for the BSP min-label
     propagation (:func:`cluster_from_pairs_distributed`) over the pair
     DATASET — the pair list never reaches the driver; use it when a
@@ -635,8 +616,7 @@ def cluster_from_pairs(
 
 
 def _cc_labels_distributed(
-    pairs, a_col: str, b_col: str, num_partitions: int,
-    max_iters: int = 64,
+    pairs, a_col: str, b_col: str, max_iters: int = 64,
 ) -> "ray.data.Dataset | None":
     """BSP min-label propagation over the pair graph — the shared core of
     :func:`cluster_from_pairs_distributed` and the distributed keep-best
@@ -679,12 +659,8 @@ def _cc_labels_distributed(
 
     converged = False
     for _ in range(max_iters):
-        offers = edges.join(
-            labels, join_type="inner", num_partitions=num_partitions,
-            on=("src",), right_on=("node",),
-            aggregator_ray_remote_args={"num_cpus": 0}
-        ).select_columns(["dst", "label"]).rename_columns(
-            {"dst": "node"})
+        offers = bucket_join(edges, labels, "src", "node").select_columns(
+            ["dst", "label"]).rename_columns({"dst": "node"})
         labels = (offers.union(labels)
                   .groupby("node")
                   .aggregate(Min("label", alias_name="label"))
@@ -705,8 +681,7 @@ def _cc_labels_distributed(
 
 def cluster_from_pairs_distributed(
     ds: "ray.data.Dataset", pairs, id_col: str,
-    a_col: str = "doc_a", b_col: str = "doc_b",
-    num_partitions: int | None = None, max_iters: int = 64,
+    a_col: str = "doc_a", b_col: str = "doc_b", max_iters: int = 64,
 ) -> "ray.data.Dataset":
     """Distributed connected components over the pair graph — the scale
     path next to :func:`cluster_from_pairs`'s driver union-find (which is
@@ -721,20 +696,13 @@ def cluster_from_pairs_distributed(
     point. Rounds needed = graph diameter — near-dup clusters are
     star-like (diameter ~2-3), so 3-4 rounds in practice.
 
-    Per round: one keyed join (zero-CPU aggregators, partitions capped per
-    the repo join rule) + one grouped min of (node, label) rows — the
-    driver only ever sees the scalar label sum. The final cluster map
-    applies to the doc stream with a keyed LEFT join (no driver-side or
-    broadcast map at any point), ``coalesce(label, id)`` for docs with no
-    duplicate.
+    Per round: one keyed ``bucket_join`` + one grouped min of (node,
+    label) rows — the driver only ever sees the scalar label sum. The
+    final cluster map applies to the doc stream with a left-outer
+    ``bucket_join`` (no driver-side or broadcast map at any point),
+    ``coalesce(label, id)`` for docs with no duplicate.
     """
-    import ray
-
-    if num_partitions is None:
-        num_partitions = max(1, int(
-            ray.cluster_resources().get("CPU", 8)) // 8)
-    labels = _cc_labels_distributed(pairs, a_col, b_col,
-                                    num_partitions, max_iters)
+    labels = _cc_labels_distributed(pairs, a_col, b_col, max_iters)
     if labels is None:  # empty pair graph — every id is its own cluster
         return ds.select_columns([id_col]).map_batches(
             lambda t: pa.table({
@@ -747,10 +715,8 @@ def cluster_from_pairs_distributed(
                          "cluster_id": t["label"].cast(pa.int64())})
 
     cluster_map = labels.map_batches(as_id, batch_format="pyarrow")
-    joined = ds.select_columns([id_col]).join(
-        cluster_map, join_type="left_outer",
-        num_partitions=num_partitions, on=(id_col,),
-        aggregator_ray_remote_args={"num_cpus": 0})
+    joined = bucket_join(ds.select_columns([id_col]), cluster_map, id_col,
+                         how="left_outer")
 
     def finalize(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -798,7 +764,6 @@ def simhash_rows(batch: pa.Table, id_col: str = "doc_id",
 def simhash_neardup_pairs(
     ds: "ray.data.Dataset", max_hamming: int = 3,
     id_col: str = "doc_id", text_col: str = "text", shingle: int = 4,
-    num_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """SimHash near-dup pairs: docs whose 64-bit SimHash signatures differ
     in at most ``max_hamming`` bits (doc_a < doc_b) — the banded-blocking
@@ -813,21 +778,15 @@ def simhash_neardup_pairs(
 
     Scale shape: bands stream through the shared ``candidate_pairs_from_bands``
     generator (bucketed triu expansion, no per-bucket task); the 8-byte
-    signatures are hash-JOINED back onto the candidate pairs by doc id
-    (zero-CPU aggregators, capped partitions — never a driver-side
-    signature map); the verify is one vectorized xor+popcount per batch.
+    signatures are joined back onto the candidate pairs by doc id (two
+    keyed ``bucket_join`` calls — never a driver-side signature map); the
+    verify is one vectorized xor+popcount per batch.
     """
-    import ray
-
     bands = max_hamming + 1
     if 64 % bands:
         raise ValueError("max_hamming + 1 must divide 64")
     width = 64 // bands
     mask = np.uint64((1 << width) - 1)
-    if num_partitions is None:
-        # same cap rationale as neardup_pairs: two concurrent joins, keep
-        # aggregator actors well under the CPU count
-        num_partitions = max(1, int(ray.cluster_resources().get("CPU", 8)) // 8)
 
     sigs = ds.map_batches(
         simhash_rows,
@@ -850,17 +809,9 @@ def simhash_neardup_pairs(
     pairs = candidate_pairs_from_bands(
         sigs.map_batches(expand_bands, batch_format="pyarrow"), id_col=id_col)
 
-    agg_args = {"num_cpus": 0}
-    joined = pairs.join(sigs, join_type="inner",
-                        num_partitions=num_partitions,
-                        on=("doc_a",), right_on=(id_col,), right_suffix="_a",
-                        aggregator_ray_remote_args=agg_args)
-    joined = (
-        joined.rename_columns({"simhash": "simhash_a"})
-        .join(sigs, join_type="inner", num_partitions=num_partitions,
-              on=("doc_b",), right_on=(id_col,), right_suffix="_b",
-              aggregator_ray_remote_args=agg_args)
-    )
+    joined = bucket_join(pairs, sigs, "doc_a", id_col).rename_columns(
+        {"simhash": "simhash_a"})
+    joined = bucket_join(joined, sigs, "doc_b", id_col)
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch["simhash_a"].to_numpy(zero_copy_only=False).view(np.uint64)
@@ -885,8 +836,7 @@ def ngram_jaccard(a: str, b: str, n: int = 5) -> float:
 def cluster_keep_best(
     ds: "ray.data.Dataset", score_fn, jaccard_threshold: float = 0.8,
     id_col: str = "doc_id", text_col: str = "text",
-    score_col: str = "logit", max_broadcast_pairs: int = 1_000_000,
-    num_partitions: int | None = None, **kw,
+    score_col: str = "logit", max_broadcast_pairs: int = 1_000_000, **kw,
 ) -> "ray.data.Dataset":
     """Per-duplicate-cluster winner selection by QUALITY, not min id — the
     production dedup policy (of N near-identical copies keep the best one,
@@ -922,13 +872,11 @@ def cluster_keep_best(
     import ray
 
     pairs_ds = neardup_pairs_ds(
-        ds, jaccard_threshold, id_col, text_col,
-        num_partitions=num_partitions, **kw).materialize()
+        ds, jaccard_threshold, id_col, text_col, **kw).materialize()
     scores = ds.map_batches(score_fn, batch_format="pyarrow").select_columns(
         [id_col, score_col]).materialize()
     if pairs_ds.count() > max_broadcast_pairs:
-        return _keep_best_distributed(scores, pairs_ds, id_col, score_col,
-                                      num_partitions)
+        return _keep_best_distributed(scores, pairs_ds, id_col, score_col)
 
     pairs = pairs_ds.to_pandas()
     if pairs.empty:  # an empty Dataset collects with no columns at all
@@ -988,7 +936,7 @@ def cluster_keep_best(
 
 def _keep_best_distributed(
     scores: "ray.data.Dataset", pairs_ds: "ray.data.Dataset",
-    id_col: str, score_col: str, num_partitions: int | None,
+    id_col: str, score_col: str,
 ) -> "ray.data.Dataset":
     """The past-the-threshold keep-best path: no pair, member or winner
     frame ever reaches the driver.
@@ -996,31 +944,22 @@ def _keep_best_distributed(
     1. BSP connected components label every pair-graph node with its
        component min id (``_cc_labels_distributed`` — the same certified
        fixpoint the docs_dup_clusters_bsp oracle pins).
-    2. Member scores attach via ONE keyed inner join (bounded by the
-       pair-graph node count, zero-CPU aggregators per the repo join rule).
+    2. Member scores attach via ONE keyed inner ``bucket_join`` (bounded
+       by the pair-graph node count).
     3. Per-cluster winner = max score, tie min id: one ``bucket_fold``
        (cluster-hash bucketed sort + a bucket-agnostic global
        sort/drop_duplicates pass — first row per label in (score desc,
        id asc) order IS the argmax).
     4. Winners join back onto members (member-bounded), then the full
-       (id, score) stream takes ONE LEFT join against the member table;
-       unmatched rows are singletons (cluster = own id, keep = True).
+       (id, score) stream takes ONE left-outer ``bucket_join`` against the
+       member table; unmatched rows are singletons (cluster = own id,
+       keep = True).
     """
     import pyarrow.compute as pc
 
-    import ray
-
-    if num_partitions is None:
-        num_partitions = max(1, int(
-            ray.cluster_resources().get("CPU", 8)) // 8)
-    agg_args = {"num_cpus": 0}
-    labels = _cc_labels_distributed(pairs_ds, "doc_a", "doc_b",
-                                    num_partitions)
+    labels = _cc_labels_distributed(pairs_ds, "doc_a", "doc_b")
     # pair count > threshold > 0, so the graph is non-empty
-    mem = labels.join(scores, join_type="inner",
-                      num_partitions=num_partitions,
-                      on=("node",), right_on=(id_col,),
-                      aggregator_ray_remote_args=agg_args)
+    mem = bucket_join(labels, scores, "node", id_col)
 
     def pick_winner(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values([score_col, "node"], ascending=[False, True],
@@ -1031,9 +970,7 @@ def _keep_best_distributed(
 
     winners = bucket_fold(mem, ["label"], pick_winner)
 
-    memw = mem.join(winners, join_type="inner",
-                    num_partitions=num_partitions, on=("label",),
-                    aggregator_ray_remote_args=agg_args)
+    memw = bucket_join(mem, winners, "label")
 
     def member_flags(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1042,9 +979,7 @@ def _keep_best_distributed(
             "_keep_m": pc.equal(t["node"], t["winner_id"])})
 
     member_tbl = memw.map_batches(member_flags, batch_format="pyarrow")
-    final = scores.join(member_tbl, join_type="left_outer",
-                        num_partitions=num_partitions, on=(id_col,),
-                        aggregator_ray_remote_args=agg_args)
+    final = bucket_join(scores, member_tbl, id_col, how="left_outer")
 
     def finalize(t: pa.Table) -> pa.Table:
         cid = pc.coalesce(t["cluster_id"],
@@ -1171,10 +1106,9 @@ def substring_dedup(ds: "ray.data.Dataset", k: int = 5,
     ``max_broadcast_masks`` (the `sample.py` cardinality-threshold
     idiom): past the threshold the rebuild runs fully distributed —
     per-doc masks packed into binary payload columns via one bucketed
-    exchange, LEFT-joined onto the doc stream (zero-CPU aggregators,
-    capped partitions), decoded per batch only for duplicate-carrying
-    docs (:func:`_substring_rebuild_joined`; path equality pinned by
-    test). Reference has no analogue (training-data op from the build
+    exchange, joined onto the doc stream by a left-outer ``bucket_join``,
+    decoded per batch only for duplicate-carrying docs
+    (:func:`_substring_rebuild_joined`; path equality pinned by test). Reference has no analogue (training-data op from the build
     brief).
     """
     import ray
@@ -1354,13 +1288,10 @@ def _substring_rebuild_joined(ds: "ray.data.Dataset",
        little-endian int64 bytes, canonical flags as one byte each) via
        ONE ``bucket_fold`` keyed on the doc id — the
        shingle_hash_rows payload pattern, Acero-join-safe;
-    2. LEFT join the doc stream to the packed masks (zero-CPU
-       aggregators, capped partitions per the CLAUDE.md join rules);
+    2. left-outer ``bucket_join`` of the doc stream to the packed masks;
     3. per batch, decode only the docs WITH masks (bounded by
        duplicate-doc count) and run the shared interval-marking tail.
     """
-    import ray
-
     import pyarrow.compute as pc
 
     def pack(g: pd.DataFrame) -> pa.Table:
@@ -1388,11 +1319,7 @@ def _substring_rebuild_joined(ds: "ray.data.Dataset",
         lambda t: t.filter(pc.greater_equal(t["pos"], 0)),
         batch_format="pyarrow"), [id_col], pack)
 
-    num_partitions = max(
-        1, int(ray.cluster_resources().get("CPU", 8)) // 8)
-    joined = ds.join(packed, join_type="left_outer",
-                     num_partitions=num_partitions, on=(id_col,),
-                     aggregator_ray_remote_args={"num_cpus": 0})
+    joined = bucket_join(ds, packed, id_col, how="left_outer")
 
     def rebuild(t: pa.Table) -> pa.Table:
         ids, lens, flat = _flat_space_tokens(t, text_col, id_col)

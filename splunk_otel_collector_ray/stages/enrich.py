@@ -130,36 +130,26 @@ class EnrichStage:
         return pa.table(cols)
 
 
-def enrich_via_join(ds, dims: pd.DataFrame | None = None,
-                    num_partitions: int | None = None):
-    """Shuffle hash-join variant of the enrichment — the path for a
-    dimension side too large to broadcast (contrast EnrichStage's broadcast
-    lookup; ray_guide "both sides large"). Uses ``Dataset.join`` hash-
-    partitioned on the association key; every record row moves once, so use
-    ONLY when the dim table genuinely can't ride `ray.put`.
+def enrich_via_join(ds, dims: pd.DataFrame | None = None):
+    """Keyed-join variant of the enrichment — the path for a dimension
+    side too large to broadcast (contrast EnrichStage's broadcast lookup;
+    ray_guide "both sides large"). One left-outer ``bucket_join`` on the
+    association key; every record row moves once, so use ONLY when the
+    dim table genuinely can't ride `ray.put`.
     """
-    import ray
     import ray.data
 
-    if num_partitions is None:
-        # join spawns one aggregator actor per partition; cap below the CPU
-        # count or the pool deadlocks on small sessions
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(2, min(16, ncpu // 2))
+    from ..partitioning import bucket_join
 
     dims_ds = ray.data.from_pandas(dims if dims is not None else build_dim_table())
 
     def add_key(t: pa.Table) -> pa.Table:
         return t.append_column("dim_key", conv_bucket(t.column("conv_id")))
 
-    keyed = ds.map_batches(add_key, batch_format="pyarrow")
     # left outer: a null bucket (null conv_id) keeps its row with null
-    # dims, as in the broadcast lookup; an inner join would drop it.
-    # Aggregators at num_cpus=0: they buffer/finalize; whole-CPU requests
-    # can starve the concurrently running map tasks on small clusters
-    return keyed.join(dims_ds, join_type="left_outer",
-                      num_partitions=num_partitions, on=("dim_key",),
-                      aggregator_ray_remote_args={"num_cpus": 0})
+    # dims, as in the broadcast lookup; an inner join would drop it
+    return bucket_join(ds.map_batches(add_key, batch_format="pyarrow"),
+                       dims_ds, "dim_key", how="left_outer")
 
 
 def make_enrich_fn(dims_ref):

@@ -202,7 +202,6 @@ def embedding_neardup_pairs_lsh(
     ds: "ray.data.Dataset", threshold: float = 0.45,
     bands: int = 12, nbits: int = 4, seed: int = 23,
     vec_col: str = "embedding", id_col: str = "vec_id",
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Approximate scale path for embedding near-dup: banded random-
     hyperplane LSH candidate generation + exact per-candidate cosine
@@ -213,15 +212,13 @@ def embedding_neardup_pairs_lsh(
     Same fully-distributed shape as the MinHash text path
     (dedup.neardup_pairs): per-band bucket rows → shared candidate-pair
     generator (size-class triu expansion, bucketed pair dedup) → unit
-    vectors packed as large_binary and hash-JOINED back onto pairs by id
-    (zero-CPU aggregators, capped partitions) → per-batch vectorized dot
-    products. No driver-side matrix at any point.
+    vectors packed as large_binary and joined back onto pairs by id (two
+    keyed ``bucket_join`` calls) → per-batch vectorized dot products. No
+    driver-side matrix at any point.
     """
+    from ..partitioning import bucket_join
     from .dedup import candidate_pairs_from_bands
 
-    if num_partitions is None:
-        num_partitions = max(
-            1, int(ray.cluster_resources().get("CPU", 8)) // 8)
     rng = np.random.default_rng(seed)
     dim = len(ds.take(1)[0][vec_col])
     planes = rng.standard_normal((bands, nbits, dim))
@@ -251,15 +248,9 @@ def embedding_neardup_pairs_lsh(
         return pa.table({id_col: t[id_col], "unit": payload})
 
     units = ds.map_batches(pack_units, batch_format="pyarrow")
-    agg_args = {"num_cpus": 0}
-    joined = pairs.join(units, join_type="inner",
-                        num_partitions=num_partitions,
-                        on=("doc_a",), right_on=(id_col,), right_suffix="_a",
-                        aggregator_ray_remote_args=agg_args)
-    joined = (joined.rename_columns({"unit": "unit_a"})
-              .join(units, join_type="inner", num_partitions=num_partitions,
-                    on=("doc_b",), right_on=(id_col,), right_suffix="_b",
-                    aggregator_ray_remote_args=agg_args))
+    joined = bucket_join(pairs, units, "doc_a", id_col).rename_columns(
+        {"unit": "unit_a"})
+    joined = bucket_join(joined, units, "doc_b", id_col)
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

@@ -699,23 +699,18 @@ def tfidf_top_terms(
     Scale shape: (doc, token, tf) pairs are computed batch-locally (one doc
     per row, so the pairs are already distinct per doc); df is a grouped
     count of those pairs keyed on token — partials shrink per batch; idf
-    attaches via a hash join on token (zero-CPU aggregator actors, capped
-    partitions per the Dataset.join discipline); the per-doc top-k prunes
-    partially on the total order (score desc, token asc), so the final
-    reduce sees ≤ k rows per doc per batch.
+    attaches via a keyed ``bucket_join`` on token; the per-doc top-k
+    prunes partially on the total order (score desc, token asc), so the
+    final reduce sees ≤ k rows per doc per batch.
     """
-    import ray
-
+    from ..partitioning import bucket_join
     from ..pipelines.aggregate import grouped_count, grouped_topk
 
     n_docs = ds.count()
     pairs = ds.map_batches(lambda t: _tf_pairs(t, id_col, text_col),
                            batch_format="pyarrow")
     df = grouped_count(pairs, ["token"], alias="df")
-    num_partitions = max(1, int(ray.cluster_resources().get("CPU", 8)) // 8)
-    joined = pairs.join(df, join_type="inner",
-                        num_partitions=num_partitions, on=("token",),
-                        aggregator_ray_remote_args={"num_cpus": 0})
+    joined = bucket_join(pairs, df, "token")
 
     def score(t: pa.Table) -> pa.Table:
         idf = np.log(float(n_docs)

@@ -372,6 +372,62 @@ def test_resumable_many_tiny_parts(ray_session, tmp_path):
         assert r["processed"][f"part-{k:03d}"]["rows"] == n
 
 
+def test_resumable_part_missing_columns_fails_named(ray_session, tmp_path):
+    """A part file that lacks input columns fails the run with an error
+    naming the part and each column it lacks, and no manifest is
+    committed; once the part is repaired, a rerun processes every part."""
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+
+    src, out = tmp_path / "src", str(tmp_path / "out")
+    rows = _write_conv_parts(corpus.build_transcripts("sf0.001"), 4, src)
+    bad = str(src / "part-001.parquet")
+    whole = pq.read_table(bad)
+    pq.write_table(whole.drop_columns(["tool", "ts"]), bad)
+    with pytest.raises(Exception, match=r"part-001\.parquet lacks input "
+                       r"column\(s\) tool, ts") as err:
+        run_resumable(str(src), out)
+    assert "ValueError" in str(err.value)
+    assert not [f for _, _, fs in os.walk(out) for f in fs
+                if f.endswith(".json")]
+
+    pq.write_table(whole, bad)
+    r = run_resumable(str(src), out)
+    assert r["skipped"] == []
+    assert {k: m["rows"] for k, m in r["processed"].items()} == {
+        f"part-{j:03d}": n for j, n in enumerate(rows)}
+
+
+def test_resumable_empty_part_and_extra_column(ray_session, tmp_path):
+    """A 0-row part gets a 0-row manifest and is skipped on rerun; a
+    column beyond the input columns is not read into the output."""
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+
+    src, out = tmp_path / "src", str(tmp_path / "out")
+    rows = _write_conv_parts(corpus.build_transcripts("sf0.001"), 3, src)
+    extra = str(src / "part-000.parquet")
+    t = pq.read_table(extra)
+    pq.write_table(t.append_column("extra_col", pa.array(["z"] * t.num_rows)),
+                   extra)
+    pq.write_table(t.slice(0, 0), str(src / "part-009.parquet"))
+    r1 = run_resumable(str(src), out)
+    assert r1["processed"]["part-009"]["rows"] == 0
+    assert [r1["processed"][f"part-{j:03d}"]["rows"]
+            for j in range(len(rows))] == rows
+    written = [os.path.join(d, f) for d, _, fs in os.walk(out) for f in fs
+               if f.endswith(".parquet")]
+    assert written and not any("extra_col" in pq.read_schema(f).names
+                               for f in written)
+    r2 = run_resumable(str(src), out)
+    assert r2["processed"] == {}
+    assert "part-009" in r2["skipped"]
+
+
 def test_resumable_exactly_once_across_bundlings(ray_session, tmp_path):
     """12 parts run in 8 bundles (2 per CPU); with every other manifest
     deleted, the rerun reads its 6 parts in 6 other bundles. The kept half
