@@ -181,7 +181,10 @@ def _export_counts(ds: "ray.data.Dataset", out_dir: str,
     keys = writer.group_keys
     partials = ds.map_batches(writer, batch_format="pyarrow")
     pre = _sum_combine(partials, keys, ["n"])
-    pdf = pre.to_pandas().groupby(keys, as_index=False)["n"].sum()
+    # dropna=False: a null `tool` is a group of its own; pandas' default
+    # drops its rows from every count
+    pdf = pre.to_pandas().groupby(keys, as_index=False,
+                                  dropna=False)["n"].sum()
     if stats_path:
         with open(stats_path, "w") as f:
             f.write(pre.stats())

@@ -33,23 +33,36 @@ stream: the export IS the aggregate's input. At 100 TB the re-read pass is a
 second full scan; here the shuffle moves only #batches × #groups rows.
 
 Every file is written by one ``pq.write_table`` call with one column-encoding
-plan (``write_plan``), derived once per batch schema:
+plan (``write_plan``), derived once per batch schema. Every per-column option
+names Parquet *leaf paths* (``attributes.key_value.key`` / ``.value``, not
+``attributes``): pyarrow matches ``use_dictionary``, ``compression`` and
+``write_statistics`` against leaves, and a top-level name silently drops the
+leaves' dictionaries, leaves them uncompressed or drops their statistics.
 
 - ``ts``, ``observed_ts`` and ``turn_idx`` are ``DELTA_BINARY_PACKED`` with no
   dictionary: ints that step by small amounts from row to row, where a
   dictionary overflows into a PLAIN fallback;
-- ``body`` and ``span_id`` are PLAIN with no dictionary: near-unique strings;
-- every other leaf keeps its dictionary, the map leaves
-  ``attributes.key_value.key`` / ``.value`` included. ``use_dictionary``
-  matches Parquet *leaf paths*: naming a nested column by its top-level name
-  silently drops its leaves' dictionaries.
+- ``conv_id`` and ``span_id`` are ``DELTA_BYTE_ARRAY`` (prefix-delta) with no
+  dictionary: rows arrive in ``(conv_id, turn_idx)`` order, so neighbours
+  share long prefixes;
+- ``body`` is PLAIN with no dictionary: near-unique strings;
+- every other leaf keeps its dictionary, the map leaves included;
+- the map leaves are zstd, every other leaf snappy (``body`` included);
+- every leaf but ``body`` and ``span_id`` has min/max statistics: readers
+  prune row groups on ``sink``, severity, ``ts`` and ``conv_id``, never on
+  free text or span ids;
+- no ``ARROW:schema`` footer blob (``store_schema=False``): the Parquet
+  logical types give the logs schema back exactly. A column whose Arrow
+  type needs the stored schema to round-trip (tz-aware timestamp,
+  ``large_string``, dictionary) must be cast before SinkWriter.
 
-On the logbench inputs (seed 5) this writes 34.3 instead of 44.1 B/turn on
-``mixed_logs`` and 244.4 instead of 254.4 on ``prose_chat``, and encodes
-faster than pyarrow's defaults. Snappy stays the codec: zstd-1 saves more
-bytes but made the ``prose_chat`` encode markedly slower. pyarrow 16.1 reads
-the files back ``Table.equals`` their input, and DuckDB 1.0.0's
-``read_parquet`` returns the same rows.
+On the logbench inputs (seed 5) this writes 31.0 B/turn on ``mixed_logs``
+(34.3 with snappy everywhere, a dictionary on ``conv_id``/``span_id``, every
+leaf's statistics and the stored schema; 44.1 with pyarrow's defaults) and
+241.3 on ``prose_chat`` (244.4; 254.4). zstd on every column shrinks more
+but made the ``prose_chat`` encode markedly slower. pyarrow 16.1 reads the
+files back ``Table.equals`` their input with an equal schema, and DuckDB
+1.0.0's ``read_parquet`` returns the same rows.
 """
 
 from __future__ import annotations
@@ -67,13 +80,21 @@ import pyarrow.parquet as pq
 
 # ints that step by small amounts row to row: delta-packed, no dictionary
 DELTA_COLUMNS = ("ts", "observed_ts", "turn_idx")
+# strings whose neighbours share long prefixes in (conv_id, turn_idx) order:
+# prefix-delta, no dictionary
+PREFIX_COLUMNS = ("conv_id", "span_id")
 # near-unique strings: no dictionary
-PLAIN_COLUMNS = ("body", "span_id")
+PLAIN_COLUMNS = ("body",)
+# dictionary-encoded leaves that zstd shrinks cheaply; every other leaf snappy
+ZSTD_COLUMNS = ("attributes",)
+# never filtered on by a reader, so no row-group min/max statistics
+NO_STATS_COLUMNS = ("body", "span_id")
 
 
 def _leaf_paths(name: str, typ: pa.DataType) -> list[str]:
     """The Parquet leaf column paths under one Arrow field, as pyarrow
-    names them (``use_dictionary`` matches these, not top-level names)."""
+    names them (``use_dictionary``, ``compression`` and
+    ``write_statistics`` match these, not top-level names)."""
     if pa.types.is_map(typ):
         return [*_leaf_paths(f"{name}.key_value.key", typ.key_type),
                 *_leaf_paths(f"{name}.key_value.value", typ.item_type)]
@@ -88,13 +109,29 @@ def _leaf_paths(name: str, typ: pa.DataType) -> list[str]:
 @functools.lru_cache(maxsize=16)
 def write_plan(schema: pa.Schema) -> dict:
     """``pq.write_table`` encoding options for a batch schema (see the
-    module docstring). pyarrow skips planned columns the table lacks, and
-    refuses a delta column that is also in ``use_dictionary``."""
+    module docstring). Every per-column option names the schema's Parquet
+    leaf paths: a leaf missing from ``compression`` would be written
+    uncompressed and one missing from ``write_statistics`` without
+    statistics. pyarrow refuses a delta column that is also in
+    ``use_dictionary``."""
+    leaves = {f.name: _leaf_paths(f.name, f.type) for f in schema}
+    delta = DELTA_COLUMNS + PREFIX_COLUMNS
     return {
         "use_dictionary": [
-            p for f in schema if f.name not in DELTA_COLUMNS + PLAIN_COLUMNS
-            for p in _leaf_paths(f.name, f.type)],
-        "column_encoding": dict.fromkeys(DELTA_COLUMNS, "DELTA_BINARY_PACKED"),
+            p for name, ps in leaves.items()
+            if name not in delta + PLAIN_COLUMNS for p in ps],
+        "column_encoding": {
+            name: ("DELTA_BINARY_PACKED" if name in DELTA_COLUMNS
+                   else "DELTA_BYTE_ARRAY")
+            for name in leaves if name in delta},
+        "compression": {
+            p: "zstd" if name in ZSTD_COLUMNS else "snappy"
+            for name, ps in leaves.items() for p in ps},
+        "write_statistics": [
+            p for name, ps in leaves.items()
+            if name not in NO_STATS_COLUMNS for p in ps],
+        # the Parquet logical types give the schema back; no ARROW:schema
+        "store_schema": False,
     }
 
 

@@ -679,6 +679,36 @@ def _text(text: pa.Array | pa.ChunkedArray) -> pa.Array:
     return pc.fill_null(text, "") if text.null_count else text
 
 
+# the string columns the stage reads or passes through to the export
+_UTF8_COLUMNS = ("text", "conv_id", "role", "tool")
+
+
+def _check_utf8(batch: pa.Table) -> None:
+    """Raise ``ValueError`` naming the column and the first row when a
+    string column the stage reads or passes through holds invalid UTF-8.
+    Parquet readers don't validate it, and a file written with such a
+    value is refused by DuckDB's reader."""
+    for name in _UTF8_COLUMNS:
+        if name not in batch.column_names:
+            continue
+        col = batch.column(name)
+        if not (pa.types.is_string(col.type)
+                or pa.types.is_large_string(col.type)):
+            continue
+        try:
+            col.validate(full=True)
+        except pa.ArrowInvalid:
+            for i, v in enumerate(col.cast(pa.binary()).to_pylist()):
+                try:
+                    if v is not None:
+                        v.decode()
+                except UnicodeDecodeError:
+                    raise ValueError(
+                        f"column {name!r} holds invalid UTF-8 at row {i}: "
+                        f"{v[:40]!r}") from None
+            raise
+
+
 class ParseStage:
     """Arrow-native parse stage for ``map_batches`` (RE2 kernels, no row loop)."""
 
@@ -741,6 +771,7 @@ class ParseStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
+        _check_utf8(batch)
         text = _text(batch.column("text"))
         ts_in_np = _np(batch.column("ts")).astype("datetime64[us]")
         codes, names = self.classify(text)

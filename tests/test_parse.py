@@ -754,6 +754,32 @@ def test_hostile_rows_equal_the_shipped_patterns():
     assert out["body"][n].as_py() == syslog.split(": ", 1)[1]
 
 
+def test_invalid_utf8_is_refused_by_name():
+    """A string column the stage reads or passes through (text, conv_id,
+    role, tool) that holds invalid UTF-8 fails the batch with a
+    ``ValueError`` naming the column and its first bad row; a valid batch
+    of either string type parses as before."""
+    import pytest
+
+    t = corpus.build_transcripts("sf0.001").slice(0, 50)
+    out = ParseStage()(t)
+    for name in ("text", "conv_id", "role", "tool"):
+        for raw, typ in ((pa.binary(), pa.string()),
+                         (pa.large_binary(), pa.large_string())):
+            vals = t[name].cast(pa.binary()).to_pylist()
+            vals[7] = b"\xff\xfe bad"
+            vals[9] = b"\xc3"
+            bad = pa.array(vals, type=raw).view(typ)
+            with pytest.raises(ValueError, match=rf"column '{name}' holds "
+                               r"invalid UTF-8 at row 7: b'\\xff\\xfe bad'"):
+                ParseStage()(t.set_column(t.column_names.index(name), name,
+                                          bad))
+    ok = t.set_column(t.column_names.index("tool"), "tool",
+                      t["tool"].cast(pa.large_string()))
+    assert ParseStage()(ok).drop_columns(["tool"]).equals(
+        out.drop_columns(["tool"]))
+
+
 def test_well_formed_lines_never_reach_pandas(monkeypatch):
     """Timestamps are Arrow-only: with pd.to_datetime raising, and every
     pandas call in the parse module, generator lines of every family

@@ -36,9 +36,12 @@ def test_sinkwriter_retry_idempotent_and_empty_batch(tmp_path):
 
 def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
     """SinkWriter's one write plan on a parsed, enriched and routed batch of
-    the sf0.01 corpus: the int columns are delta-packed, the near-unique
-    strings carry no dictionary, every other leaf (the map's included)
-    keeps one, and pyarrow and DuckDB read back the per-sink split."""
+    the sf0.01 corpus: the int columns are delta-packed, ``conv_id`` and
+    ``span_id`` prefix-delta, ``body`` carries no dictionary, every other
+    leaf (the map's included) keeps one; the map leaves are zstd and every
+    other leaf snappy; every leaf but ``body``/``span_id`` has statistics;
+    no Arrow schema is stored, and pyarrow (table and schema) and DuckDB
+    read back the per-sink split."""
     import duckdb
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -61,19 +64,34 @@ def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
         want = batch.filter(pc.equal(batch["sink"], sink))
         md = pq.ParquetFile(f).metadata
         enc: dict[str, set] = {}
+        codec: dict[str, set] = {}
+        stats: dict[str, set] = {}
         for g in range(md.num_row_groups):
             for i in range(md.num_columns):
                 c = md.row_group(g).column(i)
                 enc.setdefault(c.path_in_schema, set()).update(c.encodings)
+                codec.setdefault(c.path_in_schema, set()).add(c.compression)
+                stats.setdefault(c.path_in_schema, set()).add(c.is_stats_set)
         for col in ("ts", "observed_ts", "turn_idx"):
             assert "DELTA_BINARY_PACKED" in enc[col], (f, col, enc[col])
             assert "RLE_DICTIONARY" not in enc[col], (f, col, enc[col])
-        for col in ("body", "span_id"):
+        for col in ("conv_id", "span_id"):
+            assert "DELTA_BYTE_ARRAY" in enc[col], (f, col, enc[col])
             assert "RLE_DICTIONARY" not in enc[col], (f, col, enc[col])
-        for col in ("attributes.key_value.key", "attributes.key_value.value",
-                    "log_format", "part"):
+        assert "RLE_DICTIONARY" not in enc["body"], (f, enc["body"])
+        maps = ("attributes.key_value.key", "attributes.key_value.value")
+        for col in (*maps, "log_format", "part"):
             assert "RLE_DICTIONARY" in enc[col], (f, col, enc[col])
-        assert pq.read_table(f).equals(want)
+        assert len(codec) == len(stats) == len(want.schema) + 1
+        for col in codec:
+            assert codec[col] == {"ZSTD" if col in maps else "SNAPPY"}, (
+                f, col, codec[col])
+            assert stats[col] == {col not in ("body", "span_id")}, (
+                f, col, stats[col])
+        assert b"ARROW:schema" not in (md.metadata or {})
+        back = pq.read_table(f)
+        assert back.schema.equals(want.schema)
+        assert back.equals(want)
         con.register("want", want)
         for a, b in ((f"read_parquet('{f}')", "want"),
                      ("want", f"read_parquet('{f}')")):
@@ -154,9 +172,10 @@ def test_sinkwriter_one_run_batch_names_and_bytes(tmp_path):
 
 
 def test_write_plan_names_nested_leaf_paths(tmp_path):
-    """``use_dictionary`` lists the Parquet leaf paths pyarrow writes for
-    list, map and struct columns, and a table lacking the planned columns
-    still writes with the plan."""
+    """``use_dictionary``, ``compression`` and ``write_statistics`` list
+    the Parquet leaf paths pyarrow writes for list, map and struct columns,
+    the written file follows them leaf by leaf, and a table lacking the
+    planned columns still writes with the plan."""
     import pyarrow.parquet as pq
 
     from splunk_otel_collector_ray.stages.export import write_plan
@@ -166,12 +185,26 @@ def test_write_plan_names_nested_leaf_paths(tmp_path):
         "kv": pa.array([[("k", [1])]],
                        type=pa.map_(pa.string(), pa.list_(pa.int64()))),
         "pt": pa.array([{"x": 1, "y": "a"}]),
+        "attributes": pa.array([[("k", "v")]],
+                               type=pa.map_(pa.string(), pa.string())),
         "body": ["line"],
     })
     plan = write_plan(t.schema)
     pq.write_table(t, tmp_path / "t.parquet", **plan)
     leaves = [c.path for c in pq.ParquetFile(tmp_path / "t.parquet").schema]
     assert plan["use_dictionary"] == [p for p in leaves if p != "body"]
+    assert plan["write_statistics"] == [p for p in leaves if p != "body"]
+    maps = ["attributes.key_value.key", "attributes.key_value.value"]
+    assert plan["compression"] == {
+        p: "zstd" if p in maps else "snappy" for p in leaves}
+    md = pq.ParquetFile(tmp_path / "t.parquet").metadata.row_group(0)
+    for i in range(md.num_columns):
+        c = md.column(i)
+        assert c.compression == ("ZSTD" if c.path_in_schema in maps
+                                 else "SNAPPY"), c.path_in_schema
+        assert c.is_stats_set == (c.path_in_schema != "body"), (
+            c.path_in_schema)
+    assert pq.read_table(tmp_path / "t.parquet").equals(t)
 
 
 def test_entry_smoke(ray_session):
@@ -495,6 +528,132 @@ def test_resumable_forced_block_splits_stay_exactly_once(ray_session,
         keys += [key for x in tables for key in zip(
             x["conv_id"].to_pylist(), x["turn_idx"].to_pylist())]
     assert len(keys) == len(set(keys)) == t.num_rows
+
+
+def _lineage_report(out: str):
+    import json
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "lineage_report.py")
+    p = subprocess.run([sys.executable, script, out], capture_output=True,
+                       text=True, timeout=120)
+    return p.returncode, json.loads(p.stdout)
+
+
+def test_null_tool_rows_are_counted(ray_session, tmp_path, monkeypatch):
+    """A part of 6 tool-call rows, 4 with a null ``tool`` and 1 with a null
+    ``role``: the manifest counts every row the sink files hold, its
+    ``sink_counts`` equal the DuckDB oracle's routing (a NULL ``tool``
+    fails the tools rule), and the flagship's rows, sink counts and
+    (sink, severity, tool) aggregate keep the null-``tool`` group."""
+    import duckdb
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines import logs
+
+    t = corpus.build_transcripts("sf0.001")
+    t = t.filter(pc.equal(t["role"], "tool")).slice(0, 6)
+    tool = t["tool"].to_pylist()
+    tool[1:5] = [None] * 4
+    role = t["role"].to_pylist()
+    role[5] = None
+    t = t.set_column(t.column_names.index("tool"), "tool", pa.array(tool))
+    t = t.set_column(t.column_names.index("role"), "role", pa.array(role))
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(t, str(src / "part-000.parquet"))
+
+    def oracle(q: str) -> list[tuple]:
+        sql = e.oracle_sql()[q].replace(e.ORACLE_TGLOB,
+                                        str(src / "*.parquet"))
+        return duckdb.sql(sql).fetchall()
+
+    want_sinks = {k: int(v) for k, v in oracle("route_counts")}
+    out = str(tmp_path / "out")
+    m = logs.run_resumable(str(src), out)["processed"]["part-000"]
+    footer = sum(pq.read_metadata(f).num_rows for f in glob.glob(
+        os.path.join(out, "part=part-000", "sink=*", "*.parquet")))
+    assert m["rows"] == footer == 6
+    assert m["sink_counts"] == want_sinks
+    assert _lineage_report(out)[0] == 0
+
+    monkeypatch.setattr(logs, "ensure_transcripts",
+                        lambda sf, force=False: str(src))
+    f = logs.run_flagship("null-tool", str(tmp_path / "flag"))
+    assert f["rows"] == 6
+    assert f["sink_counts"] == want_sinks
+    agg = pq.read_table(os.path.join(f["aggregate_dir"],
+                                     "sink_severity_tool.parquet"))
+    got = [(r["sink"], r["severity_text"], r["tool"], int(r["n"]))
+           for r in agg.to_pylist()]
+    assert sorted(got, key=repr) == sorted(oracle("sink_aggregate"),
+                                           key=repr)
+    assert any(r[2] is None for r in got)
+
+
+def test_resumable_invalid_utf8_fails_named(ray_session, tmp_path):
+    """A part whose ``text`` holds invalid UTF-8 fails the run with a
+    ``ValueError`` naming the column, and no manifest is committed."""
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+
+    src, out = tmp_path / "src", str(tmp_path / "out")
+    _write_conv_parts(corpus.build_transcripts("sf0.001"), 3, src)
+    bad = str(src / "part-001.parquet")
+    t = pq.read_table(bad)
+    vals = t["text"].cast(pa.binary()).to_pylist()
+    vals[5] = b"\xff\xfe bad"
+    pq.write_table(t.set_column(
+        t.column_names.index("text"), "text",
+        pa.array(vals, type=pa.binary()).view(pa.string())), bad)
+    with pytest.raises(Exception, match=r"column 'text' holds invalid "
+                       r"UTF-8 at row [0-9]+: b'\\xff\\xfe bad'") as err:
+        run_resumable(str(src), out)
+    assert "ValueError" in str(err.value)
+    assert not [f for _, _, fs in os.walk(out) for f in fs
+                if f.endswith(".json")]
+
+
+def test_lineage_report_reconciles_manifests_with_footers(ray_session,
+                                                          tmp_path):
+    """``scripts/lineage_report.py`` exits 0 on a clean run; a manifest
+    whose rows or sink counts disagree with its partition's Parquet
+    footers is listed, and the script exits 1."""
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.pipelines.logs import run_resumable
+    from splunk_otel_collector_ray.state import manifest as mf
+
+    rows = _write_conv_parts(corpus.build_transcripts("sf0.001"), 3,
+                             tmp_path / "src")
+    out = str(tmp_path / "out")
+    run_resumable(str(tmp_path / "src"), out)
+    code, rep = _lineage_report(out)
+    assert code == 0
+    assert rep["partitions_mismatched"] == []
+    assert rep["rows"] == sum(rows)
+
+    for part, doctor in (("part-001", "rows"), ("part-002", "sink_counts")):
+        pdir = os.path.join(out, f"part={part}")
+        m = mf.read_manifest(pdir)
+        if doctor == "rows":
+            m["rows"] -= 1
+        else:  # same total, one row moved to another sink
+            a, b = sorted(m["sink_counts"])[:2]
+            m["sink_counts"][a] -= 1
+            m["sink_counts"][b] += 1
+        mf.write_manifest(pdir, m)
+    code, rep = _lineage_report(out)
+    assert code == 1
+    assert [x["partition"] for x in rep["partitions_mismatched"]] == [
+        "part=part-001", "part=part-002"]
+    assert rep["partitions_mismatched"][0]["footer_rows"] == rows[1]
 
 
 def test_run_resumable_builds_no_parquet_read(ray_session, tmp_path,
