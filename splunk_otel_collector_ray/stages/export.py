@@ -33,11 +33,12 @@ stream: the export IS the aggregate's input. At 100 TB the re-read pass is a
 second full scan; here the shuffle moves only #batches × #groups rows.
 
 Every file is written by one ``pq.write_table`` call with one column-encoding
-plan (``write_plan``), derived once per batch schema. Every per-column option
-names Parquet *leaf paths* (``attributes.key_value.key`` / ``.value``, not
-``attributes``): pyarrow matches ``use_dictionary``, ``compression`` and
-``write_statistics`` against leaves, and a top-level name silently drops the
-leaves' dictionaries, leaves them uncompressed or drops their statistics.
+plan (``write_plan``), derived from the batch schema and, for ``body``'s
+codec, from the file's rows. Every per-column option names Parquet *leaf
+paths* (``attributes.key_value.key`` / ``.value``, not ``attributes``):
+pyarrow matches ``use_dictionary``, ``compression`` and ``write_statistics``
+against leaves, and a top-level name silently drops the leaves'
+dictionaries, leaves them uncompressed or drops their statistics.
 
 - ``ts``, ``observed_ts`` and ``turn_idx`` are ``DELTA_BINARY_PACKED`` with no
   dictionary: ints that step by small amounts from row to row, where a
@@ -47,22 +48,31 @@ leaves' dictionaries, leaves them uncompressed or drops their statistics.
   share long prefixes;
 - ``body`` is PLAIN with no dictionary: near-unique strings;
 - every other leaf keeps its dictionary, the map leaves included;
-- the map leaves are zstd, every other leaf snappy (``body`` included);
+- the map leaves are zstd; ``body`` is zstd in a file whose parsed log
+  records (``log_format`` not "plain") hold at least half of its body
+  bytes, and snappy in any other file (free text, no ``log_format``
+  column, no body bytes); every other leaf is snappy. The choice reads the
+  file's own rows only, so a file's bytes still depend on its part alone;
 - every leaf but ``body`` and ``span_id`` has min/max statistics: readers
   prune row groups on ``sink``, severity, ``ts`` and ``conv_id``, never on
   free text or span ids;
 - no ``ARROW:schema`` footer blob (``store_schema=False``): the Parquet
   logical types give the logs schema back exactly. A column whose Arrow
   type needs the stored schema to round-trip (tz-aware timestamp,
-  ``large_string``, dictionary) must be cast before SinkWriter.
+  ``large_string``, dictionary) must be cast before SinkWriter, as
+  ParseStage casts ``conv_id``/``role``/``tool`` to ``string`` and gives
+  ``ts``/``observed_ts`` as ``timestamp[us]``.
 
-On the logbench inputs (seed 5) this writes 31.0 B/turn on ``mixed_logs``
-(34.3 with snappy everywhere, a dictionary on ``conv_id``/``span_id``, every
-leaf's statistics and the stored schema; 44.1 with pyarrow's defaults) and
-241.3 on ``prose_chat`` (244.4; 254.4). zstd on every column shrinks more
-but made the ``prose_chat`` encode markedly slower. pyarrow 16.1 reads the
-files back ``Table.equals`` their input with an equal schema, and DuckDB
-1.0.0's ``read_parquet`` returns the same rows.
+On the logbench inputs (seed 5) this writes 26.2 B/turn on ``mixed_logs``
+(31.0 with snappy on every ``body``; 34.3 with snappy everywhere, a
+dictionary on ``conv_id``/``span_id``, every leaf's statistics and the
+stored schema; 44.1 with pyarrow's defaults) and 241.3 on ``prose_chat``
+(the same with snappy bodies; 244.4; 254.4). There, 95.5% of the
+``mixed_logs`` body bytes are parsed and zstd keeps 55% of snappy's body
+bytes for +2.8 ms of encode per 100k turns; the ``prose_chat`` bodies are
+free text, where zstd keeps 81% for +73 ms per 60k turns, so they stay
+snappy. pyarrow 16.1 reads the files back ``Table.equals`` their input with
+an equal schema, and DuckDB 1.0.0's ``read_parquet`` returns the same rows.
 """
 
 from __future__ import annotations
@@ -87,6 +97,9 @@ PREFIX_COLUMNS = ("conv_id", "span_id")
 PLAIN_COLUMNS = ("body",)
 # dictionary-encoded leaves that zstd shrinks cheaply; every other leaf snappy
 ZSTD_COLUMNS = ("attributes",)
+# zstd in a file of parsed log records (``_log_bodies``), snappy otherwise:
+# zstd is cheap on log lines but markedly slower on free text
+LOG_BODY_COLUMNS = ("body",)
 # never filtered on by a reader, so no row-group min/max statistics
 NO_STATS_COLUMNS = ("body", "span_id")
 
@@ -107,15 +120,17 @@ def _leaf_paths(name: str, typ: pa.DataType) -> list[str]:
 
 
 @functools.lru_cache(maxsize=16)
-def write_plan(schema: pa.Schema) -> dict:
-    """``pq.write_table`` encoding options for a batch schema (see the
-    module docstring). Every per-column option names the schema's Parquet
-    leaf paths: a leaf missing from ``compression`` would be written
-    uncompressed and one missing from ``write_statistics`` without
-    statistics. pyarrow refuses a delta column that is also in
+def write_plan(schema: pa.Schema, log_bodies: bool) -> dict:
+    """``pq.write_table`` encoding options for a file of ``schema`` (see the
+    module docstring); ``log_bodies`` (``_log_bodies`` of the file's rows)
+    puts zstd on ``LOG_BODY_COLUMNS``. Every per-column option names the
+    schema's Parquet leaf paths: a leaf missing from ``compression`` would
+    be written uncompressed and one missing from ``write_statistics``
+    without statistics. pyarrow refuses a delta column that is also in
     ``use_dictionary``."""
     leaves = {f.name: _leaf_paths(f.name, f.type) for f in schema}
     delta = DELTA_COLUMNS + PREFIX_COLUMNS
+    zstd = ZSTD_COLUMNS + (LOG_BODY_COLUMNS if log_bodies else ())
     return {
         "use_dictionary": [
             p for name, ps in leaves.items()
@@ -125,7 +140,7 @@ def write_plan(schema: pa.Schema) -> dict:
                    else "DELTA_BYTE_ARRAY")
             for name in leaves if name in delta},
         "compression": {
-            p: "zstd" if name in ZSTD_COLUMNS else "snappy"
+            p: "zstd" if name in zstd else "snappy"
             for name, ps in leaves.items() for p in ps},
         "write_statistics": [
             p for name, ps in leaves.items()
@@ -133,6 +148,34 @@ def write_plan(schema: pa.Schema) -> dict:
         # the Parquet logical types give the schema back; no ARROW:schema
         "store_schema": False,
     }
+
+
+def _body_bytes(batch: pa.Table) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per row of ``batch``: its ``body`` bytes, and the same count where a
+    log family parsed the row (``log_format`` not "plain") or 0 elsewhere.
+    None when the batch lacks either column or no row is parsed, where
+    every file's ``body`` is snappy."""
+    if not {"body", "log_format"} <= set(batch.column_names):
+        return None
+    parsed = pc.fill_null(pc.not_equal(batch["log_format"], "plain"),
+                          False).to_numpy()
+    if not parsed.any():
+        return None
+    size = pc.fill_null(pc.binary_length(batch["body"]), 0).to_numpy()
+    return size, size * parsed
+
+
+def _log_bodies(body: tuple[np.ndarray, np.ndarray] | None, start: int,
+                mask: pa.ChunkedArray) -> bool:
+    """Whether a file's parsed rows hold at least half of its body bytes,
+    and it has some. The file is the rows of ``mask`` in the run that
+    starts at row ``start`` of the batch of ``body`` (``_body_bytes``);
+    False without the columns."""
+    if body is None:
+        return False
+    m = mask.to_numpy()
+    size, parsed = (int(np.dot(m, x[start:start + len(m)])) for x in body)
+    return 2 * parsed >= size > 0
 
 
 class SinkWriter:
@@ -180,11 +223,16 @@ class SinkWriter:
                 f"{batch['sink'].null_count} rows with a null 'sink' "
                 "reached SinkWriter — the routing stage must assign every "
                 "row a sink (use an explicit default route)")
-        plan = write_plan(batch.schema)
-        for subdir, run in self._runs(batch):
+        body = _body_bytes(batch)
+        for subdir, start, run in self._runs(batch):
             fp = self._fingerprint(run)
             for sink in pc.unique(run["sink"]):
-                part = run.filter(pc.equal(run["sink"], sink))
+                mask = pc.equal(run["sink"], sink)
+                part = run.filter(mask)
+                # the codec reads the file's own rows only, so its bytes
+                # depend on its part alone
+                plan = write_plan(batch.schema,
+                                  _log_bodies(body, start, mask))
                 d = os.path.join(self.out_dir, subdir, f"sink={sink}")
                 os.makedirs(d, exist_ok=True)
                 # deterministic name → idempotent under Ray task retries
@@ -193,12 +241,13 @@ class SinkWriter:
         counts = batch.group_by(group_keys).aggregate([("sink", "count")])
         return counts.rename_columns([*group_keys, "n"])
 
-    def _runs(self, batch: pa.Table) -> Iterator[tuple[str, pa.Table]]:
-        """``(subdir, rows)`` for each run of equal ``partition_col`` in
-        batch order, as zero-copy slices; without a partition column the
-        whole batch is one run under ``out_dir``."""
+    def _runs(self, batch: pa.Table
+              ) -> Iterator[tuple[str, int, pa.Table]]:
+        """``(subdir, first row, rows)`` for each run of equal
+        ``partition_col`` in batch order, as zero-copy slices; without a
+        partition column the whole batch is one run under ``out_dir``."""
         if self.partition_col is None:
-            yield "", batch
+            yield "", 0, batch
             return
         col = batch[self.partition_col]
         if col.null_count:  # would be filed under a phantom `part=None`
@@ -208,4 +257,5 @@ class SinkWriter:
         cuts = [0, *(np.flatnonzero(change.to_numpy()) + 1), len(col)]
         for a, b in zip(cuts, cuts[1:]):
             run = batch.slice(a, b - a)
-            yield f"{self.partition_col}={run[self.partition_col][0]}", run
+            yield (f"{self.partition_col}={run[self.partition_col][0]}", a,
+                   run)

@@ -43,9 +43,10 @@ Deployment shape: the stage holds no state, so ``ParseStage.as_fn()`` is a
 plain function stage that fuses with the read and downstream task stages.
 
 Output schema (FIXTURES.md §2):
-  conv_id, turn_idx, role, tool            passthrough (+ any extra columns)
+  conv_id, turn_idx, role, tool            passthrough (+ any extra columns);
+                              conv_id/role/tool cast to string
   ts          timestamp[us]   parsed from text when matched, else input ts
-  observed_ts timestamp[us]   the input ts (ingest-time surrogate)
+  observed_ts timestamp[us]   the input ts (ingest-time surrogate), in UTC
   log_format  string          detected family (= com.splunk.sourcetype value)
   body        string          message remnant after `move`, else raw line
   severity_text string / severity_number int8
@@ -679,8 +680,22 @@ def _text(text: pa.Array | pa.ChunkedArray) -> pa.Array:
     return pc.fill_null(text, "") if text.null_count else text
 
 
+# passed through to the export as ``string``: its files store no Arrow
+# schema, so a ``large_string`` or dictionary column would read back as
+# ``string``
+_PASS_STRINGS = ("conv_id", "role", "tool")
 # the string columns the stage reads or passes through to the export
-_UTF8_COLUMNS = ("text", "conv_id", "role", "tool")
+_UTF8_COLUMNS = ("text", *_PASS_STRINGS)
+
+
+def _pass_strings(batch: pa.Table) -> pa.Table:
+    """``batch`` with each ``_PASS_STRINGS`` column it holds cast to
+    ``string``."""
+    for name in _PASS_STRINGS:
+        if name in batch.column_names and batch[name].type != pa.string():
+            batch = batch.set_column(batch.column_names.index(name), name,
+                                     batch[name].cast(pa.string()))
+    return batch
 
 
 def _check_utf8(batch: pa.Table) -> None:
@@ -771,6 +786,7 @@ class ParseStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
+        batch = _pass_strings(batch)
         _check_utf8(batch)
         text = _text(batch.column("text"))
         ts_in_np = _np(batch.column("ts")).astype("datetime64[us]")
@@ -829,7 +845,9 @@ class ParseStage:
         cols = {name: col for name, col in zip(batch.column_names, batch.columns)
                 if name not in ("text", "ts")}
         cols["ts"] = pa.array(ts_out, type=pa.timestamp("us"))
-        cols["observed_ts"] = batch.column("ts")
+        # as timestamp[us] like `ts`: the export's files store no Arrow
+        # schema, so a zone or another unit would not read back
+        cols["observed_ts"] = pa.array(ts_in_np, type=pa.timestamp("us"))
         # format names materialize via Arrow take on the tiny name list —
         # a C-level string build, no per-row Python objects
         cols["log_format"] = pc.take(

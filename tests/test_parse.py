@@ -757,8 +757,9 @@ def test_hostile_rows_equal_the_shipped_patterns():
 def test_invalid_utf8_is_refused_by_name():
     """A string column the stage reads or passes through (text, conv_id,
     role, tool) that holds invalid UTF-8 fails the batch with a
-    ``ValueError`` naming the column and its first bad row; a valid batch
-    of either string type parses as before."""
+    ``ValueError`` naming the column and its first bad row, also when a
+    passthrough column is dictionary-typed; a valid batch of either string
+    type parses as before."""
     import pytest
 
     t = corpus.build_transcripts("sf0.001").slice(0, 50)
@@ -770,10 +771,14 @@ def test_invalid_utf8_is_refused_by_name():
             vals[7] = b"\xff\xfe bad"
             vals[9] = b"\xc3"
             bad = pa.array(vals, type=raw).view(typ)
-            with pytest.raises(ValueError, match=rf"column '{name}' holds "
-                               r"invalid UTF-8 at row 7: b'\\xff\\xfe bad'"):
-                ParseStage()(t.set_column(t.column_names.index(name), name,
-                                          bad))
+            cols = [bad] if name == "text" else [bad,
+                                                 bad.dictionary_encode()]
+            for col in cols:
+                with pytest.raises(ValueError, match=rf"column '{name}' "
+                                   r"holds invalid UTF-8 at row 7: "
+                                   r"b'\\xff\\xfe bad'"):
+                    ParseStage()(t.set_column(t.column_names.index(name),
+                                              name, col))
     ok = t.set_column(t.column_names.index("tool"), "tool",
                       t["tool"].cast(pa.large_string()))
     assert ParseStage()(ok).drop_columns(["tool"]).equals(

@@ -35,13 +35,15 @@ def test_sinkwriter_retry_idempotent_and_empty_batch(tmp_path):
 
 
 def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
-    """SinkWriter's one write plan on a parsed, enriched and routed batch of
-    the sf0.01 corpus: the int columns are delta-packed, ``conv_id`` and
+    """SinkWriter's write plan on one parsed, enriched and routed batch of
+    two parts: the sf0.01 corpus (``part-0000``) and its free-text lines
+    (``part-0001``). The int columns are delta-packed, ``conv_id`` and
     ``span_id`` prefix-delta, ``body`` carries no dictionary, every other
-    leaf (the map's included) keeps one; the map leaves are zstd and every
-    other leaf snappy; every leaf but ``body``/``span_id`` has statistics;
-    no Arrow schema is stored, and pyarrow (table and schema) and DuckDB
-    read back the per-sink split."""
+    leaf (the map's included) keeps one; the map leaves are zstd, ``body``
+    is zstd in the corpus's files (parsed log records) and snappy in the
+    free-text files, and every other leaf is snappy; every leaf but
+    ``body``/``span_id`` has statistics; no Arrow schema is stored, and
+    pyarrow (table and schema) and DuckDB read back the per-sink split."""
     import duckdb
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -53,15 +55,24 @@ def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
     from splunk_otel_collector_ray.stages.route import RouteStage
 
     t = corpus.build_transcripts("sf0.01")
-    t = t.append_column("part", pa.array(["part-0000"] * t.num_rows))
+    codes, names = ParseStage.classify(t["text"])
+    prose = t.filter(pa.array(codes == names.index("plain")))
+    t = pa.concat_tables([
+        t.append_column("part", pa.array(["part-0000"] * t.num_rows)),
+        prose.append_column("part", pa.array(["part-0001"] * prose.num_rows)),
+    ])
     batch = RouteStage()(EnrichStage()(ParseStage()(t)))
     SinkWriter(str(tmp_path), partition_col="part")(batch)
-    files = sorted(glob.glob(f"{tmp_path}/part=part-0000/sink=*/*.parquet"))
-    assert len(files) == len(pc.unique(batch["sink"])) > 1
+    files = sorted(glob.glob(f"{tmp_path}/part=*/sink=*/*.parquet"))
+    logs = [f for f in files if "/part=part-0000/" in f]
+    assert len(logs) == len(pc.unique(batch["sink"])) > 1
+    assert len(files) - len(logs) > 1
     con = duckdb.connect()
     for f in files:
         sink = os.path.basename(os.path.dirname(f))[len("sink="):]
-        want = batch.filter(pc.equal(batch["sink"], sink))
+        part = os.path.basename(os.path.dirname(os.path.dirname(f)))
+        want = batch.filter(pc.and_(pc.equal(batch["sink"], sink), pc.equal(
+            batch["part"], part[len("part="):])))
         md = pq.ParquetFile(f).metadata
         enc: dict[str, set] = {}
         codec: dict[str, set] = {}
@@ -83,8 +94,9 @@ def test_sinkwriter_write_plan_encodings_and_readback(tmp_path):
         for col in (*maps, "log_format", "part"):
             assert "RLE_DICTIONARY" in enc[col], (f, col, enc[col])
         assert len(codec) == len(stats) == len(want.schema) + 1
+        zstd = (*maps, "body") if f in logs else maps
         for col in codec:
-            assert codec[col] == {"ZSTD" if col in maps else "SNAPPY"}, (
+            assert codec[col] == {"ZSTD" if col in zstd else "SNAPPY"}, (
                 f, col, codec[col])
             assert stats[col] == {col not in ("body", "span_id")}, (
                 f, col, stats[col])
@@ -149,7 +161,9 @@ def test_sinkwriter_splits_batch_into_partition_runs(tmp_path):
 def test_sinkwriter_one_run_batch_names_and_bytes(tmp_path):
     """A one-partition batch is one run: one file per sink, named by the
     batch's fingerprint (first/last conv_id and turn_idx, row count), whose
-    bytes are ``pq.write_table`` of that sink's rows under ``write_plan``."""
+    bytes are ``pq.write_table`` of that sink's rows under ``write_plan``
+    with the file's own body codec: sink_a's rows are parsed log records,
+    sink_b's one row free text."""
     import hashlib
     import io
 
@@ -160,13 +174,20 @@ def test_sinkwriter_one_run_batch_names_and_bytes(tmp_path):
 
     batch = _runs_batch().slice(0, 4)
     batch = batch.set_column(2, "part", pa.array(["p0"] * 4))
+    batch = batch.append_column(
+        "log_format", pa.array(["redis_server", "plain", "redis_server",
+                                "plain"]))
+    batch = batch.append_column(
+        "body", pa.array(["Background saving started by pid 7",
+                          "and then the agent wrote some prose", "", "ok"]))
     SinkWriter(str(tmp_path), partition_col="part")(batch)
     fp = hashlib.md5(b"c1|0|c3|0|4").hexdigest()[:16]
+    assert write_plan(batch.schema, True) != write_plan(batch.schema, False)
     want = {}
-    for sink in ("sink_a", "sink_b"):
+    for sink, log_bodies in (("sink_a", True), ("sink_b", False)):
         buf = io.BytesIO()
         pq.write_table(batch.filter(pc.equal(batch["sink"], sink)), buf,
-                       **write_plan(batch.schema))
+                       **write_plan(batch.schema, log_bodies))
         want[f"part=p0/sink={sink}/part-{fp}.parquet"] = buf.getvalue()
     assert _snapshot(str(tmp_path)) == want
 
@@ -174,8 +195,9 @@ def test_sinkwriter_one_run_batch_names_and_bytes(tmp_path):
 def test_write_plan_names_nested_leaf_paths(tmp_path):
     """``use_dictionary``, ``compression`` and ``write_statistics`` list
     the Parquet leaf paths pyarrow writes for list, map and struct columns,
-    the written file follows them leaf by leaf, and a table lacking the
-    planned columns still writes with the plan."""
+    with ``body`` zstd only under ``log_bodies``; the written file follows
+    them leaf by leaf, and a table lacking the planned columns still writes
+    with the plan."""
     import pyarrow.parquet as pq
 
     from splunk_otel_collector_ray.stages.export import write_plan
@@ -189,22 +211,130 @@ def test_write_plan_names_nested_leaf_paths(tmp_path):
                                type=pa.map_(pa.string(), pa.string())),
         "body": ["line"],
     })
-    plan = write_plan(t.schema)
-    pq.write_table(t, tmp_path / "t.parquet", **plan)
-    leaves = [c.path for c in pq.ParquetFile(tmp_path / "t.parquet").schema]
-    assert plan["use_dictionary"] == [p for p in leaves if p != "body"]
-    assert plan["write_statistics"] == [p for p in leaves if p != "body"]
     maps = ["attributes.key_value.key", "attributes.key_value.value"]
-    assert plan["compression"] == {
-        p: "zstd" if p in maps else "snappy" for p in leaves}
-    md = pq.ParquetFile(tmp_path / "t.parquet").metadata.row_group(0)
-    for i in range(md.num_columns):
-        c = md.column(i)
-        assert c.compression == ("ZSTD" if c.path_in_schema in maps
-                                 else "SNAPPY"), c.path_in_schema
-        assert c.is_stats_set == (c.path_in_schema != "body"), (
-            c.path_in_schema)
-    assert pq.read_table(tmp_path / "t.parquet").equals(t)
+    for log_bodies in (False, True):
+        plan = write_plan(t.schema, log_bodies)
+        f = tmp_path / f"t-{log_bodies}.parquet"
+        pq.write_table(t, f, **plan)
+        leaves = [c.path for c in pq.ParquetFile(f).schema]
+        assert plan["use_dictionary"] == [p for p in leaves if p != "body"]
+        assert plan["write_statistics"] == [p for p in leaves
+                                            if p != "body"]
+        zstd = maps + ["body"] if log_bodies else maps
+        assert plan["compression"] == {
+            p: "zstd" if p in zstd else "snappy" for p in leaves}
+        md = pq.ParquetFile(f).metadata.row_group(0)
+        for i in range(md.num_columns):
+            c = md.column(i)
+            assert c.compression == ("ZSTD" if c.path_in_schema in zstd
+                                     else "SNAPPY"), (log_bodies,
+                                                      c.path_in_schema)
+            assert c.is_stats_set == (c.path_in_schema != "body"), (
+                c.path_in_schema)
+        assert pq.read_table(f).equals(t)
+
+
+def _body_codecs(d) -> dict[str, str]:
+    """The ``body`` column's codec of each Parquet file under ``d``."""
+    import pyarrow.parquet as pq
+
+    out = {}
+    for f in glob.glob(f"{d}/**/*.parquet", recursive=True):
+        rg = pq.read_metadata(f).row_group(0)
+        out[os.path.relpath(os.path.dirname(f), d)] = next(
+            rg.column(i).compression for i in range(rg.num_columns)
+            if rg.column(i).path_in_schema == "body")
+    return out
+
+
+def test_sinkwriter_body_codec_follows_parsed_share(tmp_path):
+    """A file's ``body`` is zstd when its parsed rows (``log_format`` not
+    "plain") hold at least half of its body bytes, exactly half included,
+    and snappy below half, with no body bytes or with no ``log_format``
+    column. Each file is decided by its own rows, whatever the rest of
+    its batch (rows: c1/p0/a, c1/p0/b, c2/p1/a, c3/p1/a, c4/p0/b)."""
+    from splunk_otel_collector_ray.stages.export import SinkWriter
+
+    def codecs(name, body, log_format=None):
+        t = _runs_batch().append_column("body", pa.array(body))
+        if log_format is not None:
+            t = t.append_column("log_format", pa.array(log_format))
+        SinkWriter(str(tmp_path / name), partition_col="part")(t)
+        return _body_codecs(tmp_path / name)
+
+    lines = ["GET /a 200", "GET /b 200", "GET /c 200", "x", "GET /d 200"]
+    assert codecs("no_format", lines) == {
+        "part=p0/sink=sink_a": "SNAPPY", "part=p0/sink=sink_b": "SNAPPY",
+        "part=p1/sink=sink_a": "SNAPPY"}
+    parsed, plain = "apache_access", "plain"
+    # p0/a all parsed; p0/b empty then null bodies; p1/a exactly half
+    assert codecs("half", ["GET /a", "", "ab", "cd", None],
+                  [parsed, parsed, parsed, plain, parsed]) == {
+        "part=p0/sink=sink_a": "ZSTD", "part=p0/sink=sink_b": "SNAPPY",
+        "part=p1/sink=sink_a": "ZSTD"}
+    # p0/a all free text; p0/b parsed rows only; p1/a one byte under half
+    assert codecs("under", ["prose", "GET /b", "ab", "abc", "GET /e"],
+                  [plain, parsed, parsed, plain, parsed]) == {
+        "part=p0/sink=sink_a": "SNAPPY", "part=p0/sink=sink_b": "ZSTD",
+        "part=p1/sink=sink_a": "SNAPPY"}
+
+
+def test_input_column_types_read_back_from_the_export(tmp_path):
+    """ParseStage hands the export the generator's column types whatever
+    the input's: a ``ts`` in UTC, in another zone, or in ns, ms or s, and
+    ``large_string`` or dictionary ``conv_id``/``role``/``tool``. The
+    output equals the parse of the same instants (to the microsecond) and
+    strings typed as the generator types them, and every SinkWriter file
+    reads back ``Table.equals`` its rows (the files store no Arrow
+    schema)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from splunk_otel_collector_ray import corpus
+    from splunk_otel_collector_ray.stages.enrich import EnrichStage
+    from splunk_otel_collector_ray.stages.export import SinkWriter
+    from splunk_otel_collector_ray.stages.parse import ParseStage
+    from splunk_otel_collector_ray.stages.route import RouteStage
+
+    t = corpus.build_transcripts("sf0.001").slice(0, 3000)
+    t = t.append_column("part", pa.array(["p0"] * t.num_rows))
+    ts = t.column_names.index("ts")
+
+    def with_ts(col):
+        return t.set_column(ts, "ts", col)
+
+    us = pa.timestamp("us")
+    variants = {
+        "utc": (with_ts(t["ts"].cast(pa.timestamp("us", tz="UTC"))), t),
+        "new_york": (with_ts(t["ts"].cast(
+            pa.timestamp("us", tz="America/New_York"))), t),
+        "ns": (with_ts(t["ts"].cast(pa.timestamp("ns"))), t),
+    }
+    for unit in ("ms", "s"):
+        cut = t["ts"].cast(pa.timestamp(unit), safe=False)
+        variants[unit] = (with_ts(cut), with_ts(cut.cast(us)))
+    for name in ("conv_id", "role", "tool"):
+        i = t.column_names.index(name)
+        variants[f"{name}_large"] = (
+            t.set_column(i, name, t[name].cast(pa.large_string())), t)
+        variants[f"{name}_dict"] = (
+            t.set_column(i, name, t[name].dictionary_encode()), t)
+    for key, (given, same) in variants.items():
+        want = ParseStage()(same)
+        assert want.schema.field("observed_ts").type == us
+        out = ParseStage()(given)
+        assert out.schema.equals(want.schema), key
+        assert out.equals(want), key
+        batch = RouteStage()(EnrichStage()(out))
+        SinkWriter(str(tmp_path / key), partition_col="part")(batch)
+        files = glob.glob(f"{tmp_path / key}/part=p0/sink=*/*.parquet")
+        assert len(files) > 1
+        for f in files:
+            sink = os.path.basename(os.path.dirname(f))[len("sink="):]
+            rows = batch.filter(pc.equal(batch["sink"], sink))
+            back = pq.read_table(f)
+            assert back.schema.equals(rows.schema), (key, f)
+            assert back.equals(rows), (key, f)
 
 
 def test_entry_smoke(ray_session):
@@ -623,22 +753,45 @@ def test_resumable_invalid_utf8_fails_named(ray_session, tmp_path):
 
 def test_lineage_report_reconciles_manifests_with_footers(ray_session,
                                                           tmp_path):
-    """``scripts/lineage_report.py`` exits 0 on a clean run; a manifest
+    """``scripts/lineage_report.py`` exits 0 on a clean run of log lines
+    and of free text, and reports each sink's files, their bytes and their
+    ``body`` codecs (zstd for log lines, snappy for free text); a manifest
     whose rows or sink counts disagree with its partition's Parquet
     footers is listed, and the script exits 1."""
+    import pyarrow.compute as pc
+
     from splunk_otel_collector_ray import corpus
     from splunk_otel_collector_ray.pipelines.logs import run_resumable
+    from splunk_otel_collector_ray.stages.parse import ParseStage
     from splunk_otel_collector_ray.state import manifest as mf
 
-    rows = _write_conv_parts(corpus.build_transcripts("sf0.001"), 3,
-                             tmp_path / "src")
-    out = str(tmp_path / "out")
-    run_resumable(str(tmp_path / "src"), out)
-    code, rep = _lineage_report(out)
-    assert code == 0
-    assert rep["partitions_mismatched"] == []
-    assert rep["rows"] == sum(rows)
+    t = corpus.build_transcripts("sf0.001")
+    prose = t.set_column(
+        t.column_names.index("text"), "text", pc.binary_join_element_wise(
+            "the", t["role"], "wrote a few plain words here", " "))
+    codes, names = ParseStage.classify(prose["text"])
+    assert (codes == names.index("plain")).all()
+    for name, table, codec in (("prose", prose, "SNAPPY"),
+                               ("logs", t, "ZSTD")):
+        rows = _write_conv_parts(table, 3, tmp_path / f"{name}_src")
+        out = str(tmp_path / name)
+        run_resumable(str(tmp_path / f"{name}_src"), out)
+        code, rep = _lineage_report(out)
+        assert code == 0
+        assert rep["partitions_mismatched"] == []
+        assert rep["rows"] == sum(rows)
+        sinks = {os.path.basename(d)[len("sink="):]
+                 for d in glob.glob(os.path.join(out, "part=*", "sink=*"))}
+        assert set(rep["sinks"]) == sinks
+        for sink, got in rep["sinks"].items():
+            files = glob.glob(os.path.join(out, "part=*", f"sink={sink}",
+                                           "*.parquet"))
+            assert got == {
+                "files": len(files),
+                "bytes": sum(os.path.getsize(f) for f in files),
+                "body_codec": {codec: len(files)}}, (name, sink)
 
+    # `out` and `rows` are the log-line run's (the loop's last)
     for part, doctor in (("part-001", "rows"), ("part-002", "sink_counts")):
         pdir = os.path.join(out, f"part={part}")
         m = mf.read_manifest(pdir)
