@@ -1,6 +1,9 @@
 """Driver-style parity check CLI.
 
 Usage: python scripts/check_parity.py [sf_dir] [query ...]
+
+Exits 1 on a parity failure and 2, before starting Ray, when a named query
+does not exist.
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:
+    import __ray_entry__ as e
+
+    unknown = sorted(set(sys.argv[2:]) - set(e.queries()))
+    if unknown:
+        print(f"unknown query names: {unknown}", file=sys.stderr)
+        return 2
+
     import ray
 
     if not ray.is_initialized():
@@ -23,14 +33,8 @@ def main() -> int:
 
     from splunk_otel_collector_ray.oracle_check import run_parity
 
-    import __ray_entry__ as e
-
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:]) or None
-    if only:
-        unknown = only - set(e.queries())
-        if unknown:
-            print(f"WARNING: unknown query names (no such check ran): {sorted(unknown)}")
     fails = run_parity(sf, only)
     print(f"\n{len(fails)} failures" + (f": {[n for n, _ in fails]}" if fails else ""))
     return 1 if fails else 0

@@ -15,7 +15,6 @@ import hashlib
 import re
 import zlib
 
-_DUR_RX = re.compile(r"^(-?\d+(?:\.\d+)?)(ns|us|µs|ms|s|m|h)$")
 _DUR_MULT = {"ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3, "s": 1.0,
              "m": 60.0, "h": 3600.0}
 

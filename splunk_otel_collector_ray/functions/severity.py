@@ -95,8 +95,3 @@ ETCD_LEVELS: dict[str, str] = {
     "C": "FATAL", "E": "ERROR", "W": "WARN", "N": "INFO2",
     "I": "INFO", "D": "DEBUG", "T": "TRACE",
 }
-
-
-def number_of(text: str) -> int:
-    """Canonical level name -> OTel number; unset ("") -> 0."""
-    return SEVERITY_NUMBER.get(text, 0)

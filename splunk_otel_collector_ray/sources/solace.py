@@ -63,8 +63,9 @@ import pyarrow.compute as pc
 # Shard count AND queue-identity modulus: corpus.ensure_solace_dump derives
 # the egress queue name q/<p>, subscriber username and the rgmid's first hex
 # group from n % SOLACE_SHARDS, and the oracle twin
-# (__ray_entry__._solace_sql_ctes) hardcodes the matching % 4 — changing
-# this requires changing the SQL and bumping CORPUS_VERSION together.
+# (__ray_entry__._solace_sql_ctes, in the solace_parse and
+# solace_delivery_lag oracles) hardcodes the matching % 4 — changing this
+# requires changing the SQL and bumping CORPUS_VERSION together.
 SOLACE_SHARDS = 4
 
 RECEIVE_TOPIC = "_telemetry/broker/trace/receive/v1"

@@ -16,8 +16,9 @@ import pyarrow.compute as pc
 
 # tiny per-language stopword profiles (n-gram/stopword heuristic language
 # ID). Dict ORDER is the argmax tiebreak axis and is replayed by the
-# generated SQL twin (__ray_entry__._langid_sql) — append new languages at
-# the END so existing predictions are stable.
+# generated SQL twin (__ray_entry__._langid_sql, the oracle of the docs_langid
+# query and part of docs_clean's and training_pipeline's) — append new
+# languages at the END so existing predictions are stable.
 LANG_STOPWORDS: dict[str, frozenset[str]] = {
     "en": frozenset("the and of to a in is that it for".split()),
     "de": frozenset("der die das und ist nicht ein zu den von".split()),

@@ -1,8 +1,10 @@
-"""OTTL `transform` processor analogue — vectorized set/where, truncate, redact.
+"""OTTL `transform` processor analogue — vectorized truncate and redact.
+
+`set(field, value) where cond` + `delete_key`
+(examples/otel-logs-severity-splunk/otel-collector-config.yml:33-44) run as
+compiled OTTL statements in functions/ottl.py.
 
 Reference semantics (citations into /root/reference):
-- `set(field, value) where cond` + `delete_key`
-  (examples/otel-logs-severity-splunk/otel-collector-config.yml:33-44)
 - body truncation `set(body, Substring(body, 0, 10))`
   (examples/otel-logs-truncate-splunk/otel-collector-config.yml:38-42)
 - redaction/sanitization: regex mask of PII in body
@@ -46,19 +48,3 @@ class RedactRegex:
             batch[self.column], self.pattern, self.replacement)
         return batch.set_column(
             batch.column_names.index(self.column), self.column, masked)
-
-
-@dataclass
-class SetWhere:
-    """`set(target, value) where eq_column == eq_value` (scalar OTTL set)."""
-
-    target: str
-    value: str
-    eq_column: str
-    eq_value: str
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cond = pc.equal(batch[self.eq_column], self.eq_value)
-        out = pc.if_else(cond, pa.scalar(self.value), batch[self.target])
-        return batch.set_column(
-            batch.column_names.index(self.target), self.target, out)

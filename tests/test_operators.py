@@ -29,7 +29,6 @@ from splunk_otel_collector_ray.stages.text_analysis import (
 from splunk_otel_collector_ray.stages.timestamp_offset import TimestampOffset
 from splunk_otel_collector_ray.stages.transform import (
     RedactRegex,
-    SetWhere,
     TruncateBody,
 )
 
@@ -44,12 +43,6 @@ def test_redact():
     t = pa.table({"body": ["a 1111-222-3333 b 4444-555-6666 c", "clean"]})
     out = RedactRegex()(t).to_pandas()
     assert out.body.tolist() == ["a XXX-XXX-XXXX b XXX-XXX-XXXX c", "clean"]
-
-
-def test_set_where():
-    t = pa.table({"severity_text": ["", ""], "level": ["DETAIL", "LOG"]})
-    out = SetWhere("severity_text", "DEBUG", "level", "DETAIL")(t).to_pandas()
-    assert out.severity_text.tolist() == ["DEBUG", ""]
 
 
 def test_timestamp_offset_null_passthrough():
